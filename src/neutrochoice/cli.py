@@ -67,10 +67,10 @@ def _merged_rng_document(args) -> dict:
 
 
 def _prepared_document(args) -> dict:
-    doc = docs.validate_document(_merged_rng_document(args))
-    if "rng" in doc:
-        doc = docs.generate_assignment(doc)
-    return doc
+    raw = _merged_rng_document(args)
+    if "rng" in raw:
+        return docs.generate_assignment(raw)
+    return docs.validate_document(raw)
 
 
 def _classify_outputs(doc: dict, threshold: str | None) -> dict:
@@ -79,29 +79,23 @@ def _classify_outputs(doc: dict, threshold: str | None) -> dict:
             threshold = format_rational(as_rational(threshold))
         except (ValueError, TypeError, ZeroDivisionError) as exc:
             raise SchemaError(f"invalid threshold {threshold!r}: {exc}", address="threshold") from exc
+
+    def verdict(triplet) -> str:
+        if threshold is None:
+            return classify(triplet).value
+        return classify_threshold(triplet, threshold).value
+
     if doc["kind"] == "family":
         choice = docs.family_choice(doc)
-        tables = []
-        for i, raw_set in enumerate(doc["sets"]):
-            table = {}
-            for element in raw_set:
-                triplet = choice.triplet(i, element)
-                if threshold is None:
-                    table[element] = classify(triplet).value
-                else:
-                    table[element] = classify_threshold(triplet, threshold).value
-            tables.append(table)
-        outputs: dict = {"verdicts": tables}
+        outputs: dict = {
+            "verdicts": [
+                {element: verdict(choice.triplet(i, element)) for element in raw_set}
+                for i, raw_set in enumerate(doc["sets"])
+            ]
+        }
     elif doc["kind"] == "tree":
         tc = docs.tree_choice(doc)
-        table = {}
-        for node in doc["strings"]:
-            triplet = tc.assignment[node]
-            if threshold is None:
-                table[node] = classify(triplet).value
-            else:
-                table[node] = classify_threshold(triplet, threshold).value
-        outputs = {"verdicts": table}
+        outputs = {"verdicts": {node: verdict(tc.assignment[node]) for node in doc["strings"]}}
     else:
         raise SchemaError("classify expects a family or tree document", address="kind")
     if threshold is not None:
@@ -123,6 +117,9 @@ def _dispatch(args) -> dict:
         raw = docs.load_document(args.document)
         if "kind" not in raw and "input" in raw:
             # a find-maximal result file: the echoed input carries the family
+            for key in ("input", "outputs"):
+                if not isinstance(raw.get(key, {}), dict):
+                    raise SchemaError(f"a result file's '{key}' must be an object", address=key)
             report_raw = raw.get("outputs", {}).get("report")
             doc = docs.validate_document(raw["input"])
         else:
@@ -208,17 +205,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         result = _dispatch(args)
-    except (ParseError, SchemaError) as exc:
-        _emit(
-            {
-                "command": args.command,
-                "diagnostics": [
-                    {"type": exc.code, "message": str(exc), "address": exc.address}
-                ],
-            },
-            args.output,
-        )
-        return 2
     except NeutroChoiceError as exc:
         _emit(
             {
@@ -229,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
             },
             args.output,
         )
-        return 1
+        return 2 if isinstance(exc, (ParseError, SchemaError)) else 1
     _emit(result, args.output)
     return 0
 

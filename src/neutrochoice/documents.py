@@ -55,19 +55,16 @@ def _canonical_triplet(raw: Any, address: str) -> list[str]:
         raise SchemaError(f"invalid triplet at {address}: {exc}", address=address) from exc
 
 
+def _is_int(value: Any) -> bool:
+    """True for a JSON integer; ``bool`` subclasses ``int`` but is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _validate_rng(raw: Any) -> dict:
     _schema(isinstance(raw, dict), "rng must be an object", "rng")
-    _schema(
-        isinstance(raw.get("seed"), int) and not isinstance(raw.get("seed"), bool),
-        "rng.seed must be an integer",
-        "rng.seed",
-    )
+    _schema(_is_int(raw.get("seed")), "rng.seed must be an integer", "rng.seed")
     bound = raw.get("denominator_bound")
-    _schema(
-        isinstance(bound, int) and not isinstance(bound, bool),
-        "rng.denominator_bound must be an integer",
-        "rng.denominator_bound",
-    )
+    _schema(_is_int(bound), "rng.denominator_bound must be an integer", "rng.denominator_bound")
     return {"seed": raw["seed"], "denominator_bound": bound}
 
 
@@ -117,7 +114,7 @@ def _validate_tree(doc: dict) -> dict:
     horizon = doc.get("horizon")
     _schema(isinstance(strings, list), "tree document needs a 'strings' list", "strings")
     _schema(
-        isinstance(horizon, int) and not isinstance(horizon, bool) and horizon >= 1,
+        _is_int(horizon) and horizon >= 1,
         "horizon must be a positive integer",
         "horizon",
     )
@@ -167,7 +164,7 @@ def _validate_zorn(doc: dict) -> dict:
             member = record.get("member")
             entry = record.get("entry")
             _schema(
-                isinstance(member, int) and isinstance(entry, int),
+                _is_int(member) and _is_int(entry),
                 f"fan_triplets[{i}] needs integer 'member' and 'entry' indices",
                 f"fan_triplets[{i}]",
             )
@@ -222,7 +219,7 @@ def validate_document(doc: dict) -> dict:
     return out
 
 
-def generate_assignment(doc: dict, seed: int | None = None, bound: int | None = None) -> dict:
+def generate_assignment(doc: dict) -> dict:
     """Replace a document's ``rng`` block with an explicit triplet table.
 
     Triplets are drawn in canonical order (family: set order then element
@@ -231,13 +228,8 @@ def generate_assignment(doc: dict, seed: int | None = None, bound: int | None = 
     """
     doc = validate_document(doc)
     _schema("rng" in doc, "document has no rng block to generate from", "rng")
-    spec = dict(doc["rng"])
-    if seed is not None:
-        spec["seed"] = seed
-    if bound is not None:
-        spec["denominator_bound"] = bound
-    rng = random.Random(spec["seed"])
-    denominator_bound = spec["denominator_bound"]
+    rng = random.Random(doc["rng"]["seed"])
+    denominator_bound = doc["rng"]["denominator_bound"]
 
     def draw() -> list[str]:
         return random_triplet(rng, denominator_bound).serialize()
@@ -306,7 +298,7 @@ def report_from_json(raw: Any) -> MaximalReport:
     maximal = raw.get("maximal")
     successors = raw.get("successors")
     _schema(
-        isinstance(maximal, list) and all(isinstance(i, int) for i in maximal),
+        isinstance(maximal, list) and all(_is_int(i) for i in maximal),
         "report.maximal must list member indices",
         "report.maximal",
     )
@@ -318,7 +310,7 @@ def report_from_json(raw: Any) -> MaximalReport:
         successor = record.get("successor")
         provenance = record.get("provenance")
         _schema(
-            isinstance(member, int) and isinstance(successor, int),
+            _is_int(member) and _is_int(successor),
             f"successors[{i}] needs integer 'member' and 'successor'",
             f"report.successors[{i}]",
         )

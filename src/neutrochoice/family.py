@@ -13,14 +13,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Hashable, Mapping
 
-from .errors import (
-    IndexOutOfRangeError,
-    InvalidChoiceError,
-    MissingAssignmentError,
-    NeutroChoiceError,
-    PreconditionViolatedError,
-)
-from .triplet import Triplet, Verdict, classify, make_triplet
+from .errors import IndexOutOfRangeError, InvalidChoiceError, PreconditionViolatedError
+from .triplet import Triplet, Verdict, classify, make_triplet, triplet_table
 
 Element = Hashable
 
@@ -116,29 +110,16 @@ def build_choice(family: SetFamily, triplets: Mapping) -> NeutroChoice:
     """Build a choice assignment, validating totality and every triplet.
 
     ``triplets`` maps ``(set index, element)`` to a Triplet or to a raw
-    three-component sequence; raw values are validated as if constructed
-    fresh, and any validation error is re-raised tagged with the offending
-    element's address.
+    three-component sequence; see :func:`triplet_table`, whose errors name
+    the offending element's address.
     """
-    assignment: dict = {}
-    for index, xs in enumerate(family.sets):
-        for element in xs:
-            key = (index, element)
-            if key not in triplets:
-                raise MissingAssignmentError(
-                    f"no triplet assigned to element {element!r} in set {index}",
-                    address=f"set {index}, element {element!r}",
-                )
-            raw = triplets[key]
-            components = raw.components() if isinstance(raw, Triplet) else raw
-            try:
-                assignment[key] = make_triplet(*components)
-            except NeutroChoiceError as exc:
-                raise type(exc)(
-                    f"element {element!r} in set {index}: {exc}",
-                    address=f"set {index}, element {element!r}",
-                ) from exc
-    return NeutroChoice(family=family, assignment=assignment)
+    keys = ((index, element) for index, xs in enumerate(family.sets) for element in xs)
+    return NeutroChoice(family=family, assignment=triplet_table(keys, triplets, _element_where))
+
+
+def _element_where(key: tuple[int, Element]) -> tuple[str, str]:
+    index, element = key
+    return f"element {element!r} in set {index}", f"set {index}, element {element!r}"
 
 
 def partition_set(choice: NeutroChoice, index: int) -> Partition:
@@ -180,6 +161,21 @@ def _chosen_parts(choice: NeutroChoice) -> list[Partition]:
     return [partition_set(choice, i) for i in range(len(choice.family))]
 
 
+def _top(choice: NeutroChoice, index: int, elements) -> Element:
+    """The element of set ``index`` among ``elements`` with the greatest
+    choice probability, ties by canonical order."""
+    pos = choice.family.positions(index)
+    return max(elements, key=lambda e: (choice.triplet(index, e).p_chosen, -pos[e]))
+
+
+def _capacity(parts: list[Partition]) -> CompensationReport:
+    empty = [i for i, part in enumerate(parts) if not part.chosen]
+    capacity = sum(len(part.chosen) - 1 for part in parts if len(part.chosen) >= 2)
+    if len(empty) <= capacity:
+        return CompensationReport(holds=True, uncompensatable=())
+    return CompensationReport(holds=False, uncompensatable=tuple(empty[capacity:]))
+
+
 def check_compensation(choice: NeutroChoice) -> CompensationReport:
     """Decide whether every empty-choice set can be served one-for-one.
 
@@ -188,12 +184,7 @@ def check_compensation(choice: NeutroChoice) -> CompensationReport:
     pool covers all empty-choice sets under that discipline; recipients a
     depleted pool cannot reach are reported in processing order.
     """
-    parts = _chosen_parts(choice)
-    empty = [i for i, part in enumerate(parts) if not part.chosen]
-    capacity = sum(len(part.chosen) - 1 for part in parts if len(part.chosen) >= 2)
-    if len(empty) <= capacity:
-        return CompensationReport(holds=True, uncompensatable=())
-    return CompensationReport(holds=False, uncompensatable=tuple(empty[capacity:]))
+    return _capacity(_chosen_parts(choice))
 
 
 def allocate_compensators(choice: NeutroChoice) -> CompensationPlan:
@@ -206,23 +197,23 @@ def allocate_compensators(choice: NeutroChoice) -> CompensationPlan:
     probability, ties by donor index then canonical order), which is then
     marked against reuse.
     """
-    report = check_compensation(choice)
+    parts = _chosen_parts(choice)
+    report = _capacity(parts)
     if not report.holds:
         raise PreconditionViolatedError(
             f"compensation property fails; uncompensatable sets: "
             f"{list(report.uncompensatable)}"
         )
     family = choice.family
-    parts = _chosen_parts(choice)
     marks: list[tuple[int, Element]] = []
     # pool entries: (choice probability, donor index, canonical position, element)
     pool: list[tuple] = []
     for donor, part in enumerate(parts):
         if len(part.chosen) < 2:
             continue
-        pos = family.positions(donor)
-        top = max(part.chosen, key=lambda e: (choice.triplet(donor, e).p_chosen, -pos[e]))
+        top = _top(choice, donor, part.chosen)
         marks.append((donor, top))
+        pos = family.positions(donor)
         for element in part.chosen:
             if element != top:
                 pool.append(
@@ -232,11 +223,7 @@ def allocate_compensators(choice: NeutroChoice) -> CompensationPlan:
     for recipient, part in enumerate(parts):
         if part.chosen:
             continue
-        pos = family.positions(recipient)
-        compensated = max(
-            family.sets[recipient],
-            key=lambda e: (choice.triplet(recipient, e).p_chosen, -pos[e]),
-        )
+        compensated = _top(choice, recipient, family.sets[recipient])
         best = max(pool, key=lambda entry: (entry[0], -entry[1], -entry[2]))
         pool.remove(best)
         _, donor, _, compensator = best
@@ -272,12 +259,7 @@ def verify_plan(choice: NeutroChoice, plan: CompensationPlan) -> bool:
             return False
         if pair.compensated not in family.sets[pair.recipient_index]:
             return False
-        pos = family.positions(pair.donor_index)
-        top = max(
-            donor_part.chosen,
-            key=lambda e: (choice.triplet(pair.donor_index, e).p_chosen, -pos[e]),
-        )
-        if pair.compensator == top:
+        if pair.compensator == _top(choice, pair.donor_index, donor_part.chosen):
             return False
         key = (pair.donor_index, pair.compensator)
         if key in used:
@@ -296,13 +278,8 @@ def product_status(choice: NeutroChoice) -> ProductStatus:
     """
     parts = _chosen_parts(choice)
     if all(part.chosen for part in parts):
-        witness = []
-        for index, part in enumerate(parts):
-            pos = choice.family.positions(index)
-            witness.append(
-                max(part.chosen, key=lambda e: (choice.triplet(index, e).p_chosen, -pos[e]))
-            )
-        return ProductStatus(kind=ProductStatusKind.NON_EMPTY_WITNESS, witness=tuple(witness))
+        witness = tuple(_top(choice, index, part.chosen) for index, part in enumerate(parts))
+        return ProductStatus(kind=ProductStatusKind.NON_EMPTY_WITNESS, witness=witness)
     for index, part in enumerate(parts):
         if len(part.indeterminate) == len(choice.family.sets[index]):
             return ProductStatus(kind=ProductStatusKind.INDETERMINATE)

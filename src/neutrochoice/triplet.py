@@ -12,9 +12,12 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Callable, Iterable, Mapping
 
 from .errors import (
     BoundTooSmallError,
+    MissingAssignmentError,
+    NeutroChoiceError,
     OutOfRangeError,
     RetryLimitError,
     SumNotOneError,
@@ -73,14 +76,36 @@ class ThresholdVerdict(Enum):
 class Triplet:
     """Probabilities of choosing, not choosing, and leaving open.
 
-    Instances built through :func:`make_triplet` satisfy: every component
-    lies in [0, 1], the components sum to exactly 1, and no two components
-    are equal (so the strict maximum is unique).
+    Construction coerces each component with :func:`as_rational` and
+    checks, in this order: every component lies in [0, 1], the components
+    sum to exactly 1, and no two components are equal (so the strict
+    maximum is unique).  Every instance therefore satisfies all three.
     """
 
     p_chosen: Fraction
     p_not_chosen: Fraction
     p_indeterminate: Fraction
+
+    def __post_init__(self) -> None:
+        i = as_rational(self.p_chosen)
+        j = as_rational(self.p_not_chosen)
+        k = as_rational(self.p_indeterminate)
+        object.__setattr__(self, "p_chosen", i)
+        object.__setattr__(self, "p_not_chosen", j)
+        object.__setattr__(self, "p_indeterminate", k)
+        for name, c in (("p_chosen", i), ("p_not_chosen", j), ("p_indeterminate", k)):
+            if c < _ZERO or c > _ONE:
+                raise OutOfRangeError(
+                    f"{name}={format_rational(c)} lies outside [0, 1]", address=name
+                )
+        total = i + j + k
+        if total != _ONE:
+            raise SumNotOneError(f"components sum to {format_rational(total)}, not 1")
+        if i == j or j == k or i == k:
+            raise TieViolationError(
+                f"components must be pairwise distinct, got "
+                f"({format_rational(i)}, {format_rational(j)}, {format_rational(k)})"
+            )
 
     def components(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.p_chosen, self.p_not_chosen, self.p_indeterminate)
@@ -90,27 +115,31 @@ class Triplet:
 
 
 def make_triplet(p_chosen, p_not_chosen, p_indeterminate) -> Triplet:
-    """Validate components and build a :class:`Triplet`.
+    """Validate components and build a :class:`Triplet`."""
+    return Triplet(p_chosen, p_not_chosen, p_indeterminate)
 
-    Checks run in a fixed order: range, then sum, then pairwise ties.
+
+def triplet_table(keys: Iterable, triplets: Mapping, where: Callable) -> dict:
+    """Validated triplets for ``keys``, in key order.
+
+    ``triplets`` maps each key to a Triplet, which passes through unchanged,
+    or to a raw three-component sequence, which is validated as if
+    constructed fresh.  ``where(key)`` returns ``(label, address)`` naming
+    the key: an absent key raises ``MissingAssignmentError``, and a
+    validation error is re-raised as the same type tagged with both.
     """
-    i = as_rational(p_chosen)
-    j = as_rational(p_not_chosen)
-    k = as_rational(p_indeterminate)
-    for name, c in (("p_chosen", i), ("p_not_chosen", j), ("p_indeterminate", k)):
-        if c < _ZERO or c > _ONE:
-            raise OutOfRangeError(
-                f"{name}={format_rational(c)} lies outside [0, 1]", address=name
-            )
-    total = i + j + k
-    if total != _ONE:
-        raise SumNotOneError(f"components sum to {format_rational(total)}, not 1")
-    if i == j or j == k or i == k:
-        raise TieViolationError(
-            f"components must be pairwise distinct, got "
-            f"({format_rational(i)}, {format_rational(j)}, {format_rational(k)})"
-        )
-    return Triplet(i, j, k)
+    table: dict = {}
+    for key in keys:
+        if key not in triplets:
+            label, address = where(key)
+            raise MissingAssignmentError(f"no triplet assigned to {label}", address=address)
+        raw = triplets[key]
+        try:
+            table[key] = raw if isinstance(raw, Triplet) else make_triplet(*raw)
+        except NeutroChoiceError as exc:
+            label, address = where(key)
+            raise type(exc)(f"{label}: {exc}", address=address) from exc
+    return table
 
 
 def parse_triplet(values) -> Triplet:

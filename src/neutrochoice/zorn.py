@@ -15,13 +15,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
 
-from .errors import (
-    CompensationExhaustedError,
-    MissingAssignmentError,
-    NeutroChoiceError,
-    NotAMemberError,
-)
-from .triplet import Triplet, Verdict, classify, make_triplet
+from .errors import CompensationExhaustedError, NotAMemberError
+from .triplet import Verdict, classify, triplet_table
+from .triplet import make_triplet  # noqa: F401  bench/spans.py wraps zorn.make_triplet by name
 
 
 @dataclass(frozen=True)
@@ -110,25 +106,12 @@ def fan_pairs(family: ZornFamily) -> list[tuple[int, int]]:
     return pairs
 
 
-def _validated_table(family: ZornFamily, fan_triplets: Mapping) -> dict:
-    table: dict = {}
-    for base_index, entry_index in fan_pairs(family):
-        key = (base_index, entry_index)
-        if key not in fan_triplets:
-            raise MissingAssignmentError(
-                f"no triplet for fan entry {entry_index} of member {base_index}",
-                address=f"member {base_index}, entry {entry_index}",
-            )
-        raw = fan_triplets[key]
-        components = raw.components() if isinstance(raw, Triplet) else raw
-        try:
-            table[key] = make_triplet(*components)
-        except NeutroChoiceError as exc:
-            raise type(exc)(
-                f"fan entry {entry_index} of member {base_index}: {exc}",
-                address=f"member {base_index}, entry {entry_index}",
-            ) from exc
-    return table
+def _fan_where(key: tuple[int, int]) -> tuple[str, str]:
+    base_index, entry_index = key
+    return (
+        f"fan entry {entry_index} of member {base_index}",
+        f"member {base_index}, entry {entry_index}",
+    )
 
 
 def _matching_covers(pending: list[int], candidates: Mapping[int, set[int]]) -> bool:
@@ -161,7 +144,7 @@ def find_maximal(family: ZornFamily, fan_triplets: Mapping) -> MaximalReport:
     remaining deferred members satisfiable; an entry that can never be
     satisfied raises ``CompensationExhaustedError``.
     """
-    table = _validated_table(family, fan_triplets)
+    table = triplet_table(fan_pairs(family), fan_triplets, _fan_where)
     fans = {
         index: superset_fan(family, family.members[index]).entry_indices
         for index in range(len(family))
@@ -212,9 +195,7 @@ def find_maximal(family: ZornFamily, fan_triplets: Mapping) -> MaximalReport:
             for member in members
         }
 
-    for _ in range(max(1, len(family))):
-        if not pending:
-            break
+    while pending:
         progressed = False
         deferred: list[int] = []
         for position, base_index in enumerate(pending):
@@ -239,16 +220,11 @@ def find_maximal(family: ZornFamily, fan_triplets: Mapping) -> MaximalReport:
             )
             progressed = True
         pending = deferred
-        if pending and not progressed:
+        if not progressed:
             raise CompensationExhaustedError(
                 f"member {pending[0]} has no reachable compensator",
                 address=f"member {pending[0]}",
             )
-    if pending:
-        raise CompensationExhaustedError(
-            f"member {pending[0]} has no reachable compensator",
-            address=f"member {pending[0]}",
-        )
     return MaximalReport(maximal_indices=maximal, successors=successors)
 
 

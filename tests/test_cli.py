@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import copy
 import json
 
+import pytest
 
 from neutrochoice import (
     CompensationPair,
@@ -285,3 +287,50 @@ def test_kind_mismatch_is_a_schema_error(tmp_path, capsys):
     code, payload = run(capsys, "partition", path)
     assert code == 2
     assert payload["diagnostics"][0]["type"] == "SchemaError"
+
+
+def zorn_report_doc(path=(), value=None):
+    """ZORN with a valid embedded report, the item at ``path`` set to ``value``."""
+    doc = copy.deepcopy(ZORN)
+    doc["report"] = {
+        "maximal": [3],
+        "successors": [
+            {"member": m, "successor": 3, "provenance": "direct"} for m in range(3)
+        ],
+    }
+    if path:
+        *parents, last = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, address",
+    [
+        ({"input": 5, "outputs": {}}, "input"),
+        ({"input": ZORN, "outputs": 5}, "outputs"),
+        (zorn_report_doc(("fan_triplets", 0, "entry"), True), "fan_triplets[0]"),
+        (zorn_report_doc(("fan_triplets", 3, "member"), True), "fan_triplets[3]"),
+        (zorn_report_doc(("report", "maximal", 0), True), "report.maximal"),
+        (zorn_report_doc(("report", "successors", 1, "member"), True), "report.successors[1]"),
+        (zorn_report_doc(("report", "successors", 0, "successor"), True), "report.successors[0]"),
+    ],
+    ids=[
+        "input-not-object",
+        "outputs-not-object",
+        "bool-fan-entry",
+        "bool-fan-member",
+        "bool-maximal",
+        "bool-successor-member",
+        "bool-successor-index",
+    ],
+)
+def test_verify_report_rejects_malformed_input(tmp_path, capsys, doc, address):
+    path = write_doc(tmp_path, "bad.json", doc)
+    code, payload = run(capsys, "verify-report", path)
+    assert code == 2
+    diag = payload["diagnostics"][0]
+    assert (diag["type"], diag["address"]) == ("SchemaError", address)

@@ -8,11 +8,13 @@ from hypothesis import given, strategies as st
 
 from neutrochoice import (
     BoundTooSmallError,
+    MissingAssignmentError,
     OutOfRangeError,
     SumNotOneError,
     ThresholdOutOfRangeError,
     ThresholdVerdict,
     TieViolationError,
+    Triplet,
     Verdict,
     classify,
     classify_threshold,
@@ -20,6 +22,7 @@ from neutrochoice import (
     parse_triplet,
     random_triplet,
 )
+from neutrochoice.triplet import triplet_table
 from oracles import triplet_pool
 
 
@@ -46,6 +49,35 @@ def test_make_triplet_rejects_out_of_range():
 def test_make_triplet_rejects_floats():
     with pytest.raises(TypeError):
         make_triplet(0.6, 0.3, 0.1)
+
+
+def test_triplet_validates_on_construction():
+    with pytest.raises(TieViolationError):
+        Triplet(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
+    with pytest.raises(TypeError):
+        Triplet(0.6, 0.3, 0.1)
+    assert Triplet("6/10", "3/10", "1/10").components() == (
+        Fraction(3, 5),
+        Fraction(3, 10),
+        Fraction(1, 10),
+    )
+
+
+def test_triplet_table_passes_triplets_and_tags_raw_errors():
+    def where(key):
+        return f"key {key}", f"at {key}"
+
+    t = make_triplet("6/10", "3/10", "1/10")
+    table = triplet_table(["a", "b"], {"a": t, "b": ("1/10", "7/10", "2/10")}, where)
+    assert table["a"] is t
+    assert table["b"] == make_triplet("1/10", "7/10", "2/10")
+    with pytest.raises(MissingAssignmentError) as missing:
+        triplet_table(["c"], {}, where)
+    assert (str(missing.value), missing.value.address) == ("no triplet assigned to key c", "at c")
+    with pytest.raises(SumNotOneError) as invalid:
+        triplet_table(["a"], {"a": ("1/2", "1/4", "1/8")}, where)
+    assert str(invalid.value).startswith("key a: components sum to 7/8")
+    assert invalid.value.address == "at a"
 
 
 def test_parse_triplet_requires_three_components():
