@@ -57,7 +57,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _merged_rng_document(args) -> dict:
     raw = docs.load_document(args.document)
     if args.seed is not None or args.bound is not None:
-        rng = dict(raw.get("rng", {}))
+        rng = raw.get("rng", {})
+        if not isinstance(rng, dict):
+            raise SchemaError("rng must be an object", address="rng")
+        rng = dict(rng)
         if args.seed is not None:
             rng["seed"] = args.seed
         if args.bound is not None:
@@ -128,9 +131,7 @@ def _dispatch(args) -> dict:
         _require_kind(doc, "zorn", command)
         if report_raw is None:
             raise SchemaError("verify-report needs a 'report' to check", address="report")
-        family, _table = docs.zorn_inputs(doc)
-        report = docs.report_from_json(report_raw)
-        valid = verify_report(family, report)
+        valid = verify_report(docs.zorn_family(doc), docs.report_from_json(report_raw))
         return {"command": command, "input": doc, "outputs": {"valid": valid}}
 
     if getattr(args, "count", None) is not None and args.count < 1:

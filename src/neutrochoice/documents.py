@@ -152,7 +152,7 @@ def _validate_zorn(doc: dict) -> dict:
         "members",
     )
     out: dict = {"kind": "zorn", "members": out_members}
-    family = ZornFamily(members=tuple(frozenset(m) for m in out_members))
+    family = zorn_family(out)
     pairs = zorn_mod.fan_pairs(family)
     pair_set = set(pairs)
     if "fan_triplets" in doc:
@@ -242,7 +242,7 @@ def generate_assignment(doc: dict) -> dict:
     elif doc["kind"] == "tree":
         out["assignment"] = {node: draw() for node in doc["strings"]}
     else:
-        family = ZornFamily(members=tuple(frozenset(m) for m in doc["members"]))
+        family = zorn_family(doc)
         out["fan_triplets"] = [
             {"member": member, "entry": entry, "triplet": draw()}
             for member, entry in zorn_mod.fan_pairs(family)
@@ -269,9 +269,14 @@ def tree_choice(doc: dict, horizon_override: int | None = None) -> tree_mod.Tree
     return tree_mod.build_tree_choice(built, triplets)
 
 
+def zorn_family(doc: dict) -> ZornFamily:
+    """Build the inclusion family of a zorn document's ``members`` list."""
+    return ZornFamily(members=tuple(frozenset(m) for m in doc["members"]))
+
+
 def zorn_inputs(doc: dict) -> tuple[ZornFamily, dict]:
     """Build the family and fan-triplet table from a canonical zorn document."""
-    family = ZornFamily(members=tuple(frozenset(m) for m in doc["members"]))
+    family = zorn_family(doc)
     table = {
         (record["member"], record["entry"]): parse_triplet(record["triplet"])
         for record in doc["fan_triplets"]

@@ -195,7 +195,9 @@ def allocate_compensators(choice: NeutroChoice) -> CompensationPlan:
     sets are processed in index order; each receives its most-nearly-chosen
     element paired with the best unmarked donor element (highest choice
     probability, ties by donor index then canonical order), which is then
-    marked against reuse.
+    marked against reuse.  That best element never depends on the
+    recipient, so the pool is sorted once and dealt out in order: one sort,
+    no per-recipient scan.
     """
     parts = _chosen_parts(choice)
     report = _capacity(parts)
@@ -206,7 +208,7 @@ def allocate_compensators(choice: NeutroChoice) -> CompensationPlan:
         )
     family = choice.family
     marks: list[tuple[int, Element]] = []
-    # pool entries: (choice probability, donor index, canonical position, element)
+    # pool entries: (-choice probability, donor index, canonical position, element)
     pool: list[tuple] = []
     for donor, part in enumerate(parts):
         if len(part.chosen) < 2:
@@ -217,21 +219,17 @@ def allocate_compensators(choice: NeutroChoice) -> CompensationPlan:
         for element in part.chosen:
             if element != top:
                 pool.append(
-                    (choice.triplet(donor, element).p_chosen, donor, pos[element], element)
+                    (-choice.triplet(donor, element).p_chosen, donor, pos[element], element)
                 )
+    pool.sort(key=lambda entry: entry[:3])
+    recipients = [index for index, part in enumerate(parts) if not part.chosen]
     pairs: list[CompensationPair] = []
-    for recipient, part in enumerate(parts):
-        if part.chosen:
-            continue
-        compensated = _top(choice, recipient, family.sets[recipient])
-        best = max(pool, key=lambda entry: (entry[0], -entry[1], -entry[2]))
-        pool.remove(best)
-        _, donor, _, compensator = best
+    for recipient, (_, donor, _, compensator) in zip(recipients, pool):
         marks.append((donor, compensator))
         pairs.append(
             CompensationPair(
                 recipient_index=recipient,
-                compensated=compensated,
+                compensated=_top(choice, recipient, family.sets[recipient]),
                 donor_index=donor,
                 compensator=compensator,
             )

@@ -37,7 +37,7 @@ ROOT = ""
 
 
 def _check_bits(value: str) -> str:
-    if not isinstance(value, str) or any(bit not in "01" for bit in value):
+    if not isinstance(value, str) or value.strip("01"):
         raise ValueError(f"not a binary string: {value!r}")
     return value
 
@@ -112,8 +112,12 @@ def build_tree(strings: Iterable[str], horizon: int) -> Tree:
             raise DepthExceededError(
                 f"string {s!r} is longer than the horizon {horizon}", address=s
             )
-        for cut in range(1, len(s) + 1):
-            nodes.add(s[:cut])
+        # longest prefix first: once one is present, so are all shorter ones
+        for cut in range(len(s), 0, -1):
+            prefix = s[:cut]
+            if prefix in nodes:
+                break
+            nodes.add(prefix)
     return Tree(nodes=frozenset(nodes), horizon=horizon)
 
 

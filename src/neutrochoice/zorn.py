@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import CompensationExhaustedError, NotAMemberError
 from .triplet import Verdict, classify, triplet_table
@@ -89,21 +89,23 @@ def superset_fan(family: ZornFamily, member) -> SupersetFan:
     """Strict supersets of ``member`` within the family, in member order."""
     base_index = family.index_of(member)
     base = family.members[base_index]
-    entry_indices = tuple(
-        index
-        for index, candidate in enumerate(family.members)
-        if base < candidate
+    return SupersetFan(
+        base_index=base_index, base=base, entry_indices=_fan_indices(family, base)
     )
-    return SupersetFan(base_index=base_index, base=base, entry_indices=entry_indices)
+
+
+def _fan_indices(family: ZornFamily, base: frozenset) -> tuple[int, ...]:
+    return tuple(index for index, other in enumerate(family.members) if base < other)
+
+
+def _all_fans(family: ZornFamily) -> list[tuple[int, ...]]:
+    """Every member's fan entry indices, indexed by member."""
+    return [_fan_indices(family, base) for base in family.members]
 
 
 def fan_pairs(family: ZornFamily) -> list[tuple[int, int]]:
     """Every (base index, fan entry index) pair, in canonical order."""
-    pairs = []
-    for base_index in range(len(family)):
-        fan = superset_fan(family, family.members[base_index])
-        pairs.extend((base_index, entry) for entry in fan.entry_indices)
-    return pairs
+    return [(base, entry) for base, fan in enumerate(_all_fans(family)) for entry in fan]
 
 
 def _fan_where(key: tuple[int, int]) -> tuple[str, str]:
@@ -114,22 +116,83 @@ def _fan_where(key: tuple[int, int]) -> tuple[str, str]:
     )
 
 
-def _matching_covers(pending: list[int], candidates: Mapping[int, set[int]]) -> bool:
-    """True when every pending member can take a distinct candidate."""
-    matched: dict[int, int] = {}
+def _augment(start: int, options: Mapping, owner: dict, held: dict, blocked: set) -> bool:
+    """Search for an alternating path from member ``start`` to a free entry
+    and flip it, so ``start`` and every member along it hold a new entry.
 
-    def assign(member: int, banned: set[int]) -> bool:
-        for candidate in sorted(candidates.get(member, ())):
-            if candidate in banned:
+    ``options[m]`` lists the entries member ``m`` may hold; ``owner`` maps a
+    held entry to its member and ``held`` the reverse.  Entries in
+    ``blocked`` are never entered, and every entry the search enters is
+    added to it.  A failed search therefore leaves in ``blocked`` a set of
+    held entries whose holders can reach no other entry: together with
+    ``start`` they violate Hall's condition.  The search keeps an explicit
+    stack, so a path as long as the family needs no recursion.
+    """
+    stack = [(start, iter(options[start]))]
+    path: list[int] = []  # path[d]: the entry stack[d]'s member moves to
+    while stack:
+        for entry in stack[-1][1]:
+            if entry in blocked:
                 continue
-            banned.add(candidate)
-            holder = matched.get(candidate)
-            if holder is None or assign(holder, banned):
-                matched[candidate] = member
+            blocked.add(entry)
+            path.append(entry)
+            holder = owner.get(entry)
+            if holder is None:
+                for (member, _), moved in zip(stack, path):
+                    owner[moved] = member
+                    held[member] = moved
                 return True
-        return False
+            stack.append((holder, iter(options[holder])))
+            break
+        else:
+            stack.pop()
+            if path:
+                path.pop()
+    return False
 
-    return all(assign(member, set()) for member in pending)
+
+def _compensate(pending: list[int], options: dict[int, list[int]]) -> dict[int, int]:
+    """Give every pending member a distinct entry from its options, each
+    member in turn taking its earliest option that still leaves the members
+    after it servable.
+
+    One maximum matching is built by augmenting paths, one member at a time
+    in pending order; a member it cannot cover raises
+    ``CompensationExhaustedError`` with the Hall-violating set of members
+    its failed search reached.  Then each member in turn is fixed to its
+    earliest option that is free or whose holder can be re-routed along an
+    alternating path.  Entries a failed re-routing entered stay dead for
+    the member's later options.  A fixed member's options are emptied, so
+    later searches end at its entry.
+    """
+    owner: dict[int, int] = {}
+    held: dict[int, int] = {}
+    for member in pending:
+        blocked: set[int] = set()
+        if not _augment(member, options, owner, held, blocked):
+            stuck = sorted({member, *(owner[entry] for entry in blocked)})
+            raise CompensationExhaustedError(
+                f"member {member} has no reachable compensator: members {stuck} "
+                f"fit only inside unmarked chosen entries {sorted(blocked)}",
+                address=f"member {member}",
+            )
+    for member in pending:
+        # the member's own entry is free now, so some option always succeeds
+        del owner[held[member]]
+        dead: set[int] = set()
+        for entry in options[member]:
+            if entry in dead:
+                continue
+            holder = owner.get(entry)
+            if holder is None:
+                break
+            dead.add(entry)
+            if _augment(holder, options, owner, held, dead):
+                break
+        owner[entry] = member
+        held[member] = entry
+        options[member] = []
+    return held
 
 
 def find_maximal(family: ZornFamily, fan_triplets: Mapping) -> MaximalReport:
@@ -138,30 +201,33 @@ def find_maximal(family: ZornFamily, fan_triplets: Mapping) -> MaximalReport:
     Fans are examined in member order.  A fan with chosen entries yields a
     direct successor: its top entry by choice probability (ties by member
     order), which is marked.  Members whose fans have no chosen entry are
-    deferred to compensation passes: each takes the best unmarked chosen
-    entry of any other fan that strictly contains it (probability order,
-    ties by donor then entry), preferring candidates that leave the
-    remaining deferred members satisfiable; an entry that can never be
-    satisfied raises ``CompensationExhaustedError``.
+    compensated: each takes an unmarked chosen entry of another fan that
+    strictly contains it.  Every such entry is ranked once, by its best
+    record (highest probability, then lowest donor) and then its index, and
+    the members in member order each take the best-ranked entry that still
+    leaves the members after them servable, which one bipartite matching
+    decides (see ``_compensate``).  When no such assignment exists,
+    ``CompensationExhaustedError`` names a member that cannot be served.
     """
-    table = triplet_table(fan_pairs(family), fan_triplets, _fan_where)
-    fans = {
-        index: superset_fan(family, family.members[index]).entry_indices
-        for index in range(len(family))
-    }
-    maximal = tuple(index for index, fan in sorted(fans.items()) if not fan)
+    fans = _all_fans(family)
+    pairs = ((base, entry) for base, fan in enumerate(fans) for entry in fan)
+    table = triplet_table(pairs, fan_triplets, _fan_where)
+    maximal = tuple(index for index, fan in enumerate(fans) if not fan)
     successors: dict[int, SuccessorEntry] = {}
     marked: set[int] = set()
     pending: list[int] = []
+    # best record (-p_chosen, donor) of every chosen fan entry
+    best: dict[int, tuple] = {}
 
-    for base_index in range(len(family)):
-        fan = fans[base_index]
-        if not fan:
-            continue
+    for base_index, fan in enumerate(fans):
         chosen_entries = [
             entry for entry in fan
             if classify(table[(base_index, entry)]) is Verdict.CHOSEN
         ]
+        for entry in chosen_entries:
+            record = (-table[(base_index, entry)].p_chosen, base_index)
+            if entry not in best or record < best[entry]:
+                best[entry] = record
         if chosen_entries:
             top = max(
                 chosen_entries,
@@ -171,59 +237,23 @@ def find_maximal(family: ZornFamily, fan_triplets: Mapping) -> MaximalReport:
             successors[base_index] = SuccessorEntry(
                 successor_index=top, provenance=Provenance.DIRECT
             )
-        else:
+        elif fan:
             pending.append(base_index)
 
-    def candidate_records(base_index: int) -> list[tuple]:
-        base = family.members[base_index]
-        records = []
-        for donor in range(len(family)):
-            for entry in fans[donor]:
-                if entry in marked:
-                    continue
-                if classify(table[(donor, entry)]) is not Verdict.CHOSEN:
-                    continue
-                if not base < family.members[entry]:
-                    continue
-                records.append((table[(donor, entry)].p_chosen, donor, entry))
-        records.sort(key=lambda rec: (-rec[0], rec[1], rec[2]))
-        return records
-
-    def candidate_sets(members: Iterable[int]) -> dict[int, set[int]]:
-        return {
-            member: {entry for _, _, entry in candidate_records(member)}
-            for member in members
-        }
-
-    while pending:
-        progressed = False
-        deferred: list[int] = []
-        for position, base_index in enumerate(pending):
-            rest = pending[position + 1 :] + deferred
-            picked: int | None = None
-            tried: set[int] = set()
-            for _, _donor, entry in candidate_records(base_index):
-                if entry in tried:
-                    continue
-                tried.add(entry)
-                marked.add(entry)
-                feasible = _matching_covers(rest, candidate_sets(rest))
-                if feasible:
-                    picked = entry
-                    break
-                marked.discard(entry)
-            if picked is None:
-                deferred.append(base_index)
-                continue
+    if pending:
+        ranked = sorted(
+            (entry for entry in best if entry not in marked),
+            key=lambda entry: (best[entry], entry),
+        )
+        ranked_sets = [(entry, family.members[entry]) for entry in ranked]
+        options = {}
+        for base_index in pending:
+            base = family.members[base_index]
+            options[base_index] = [entry for entry, member in ranked_sets if base < member]
+        held = _compensate(pending, options)
+        for base_index in pending:
             successors[base_index] = SuccessorEntry(
-                successor_index=picked, provenance=Provenance.COMPENSATED
-            )
-            progressed = True
-        pending = deferred
-        if not progressed:
-            raise CompensationExhaustedError(
-                f"member {pending[0]} has no reachable compensator",
-                address=f"member {pending[0]}",
+                successor_index=held[base_index], provenance=Provenance.COMPENSATED
             )
     return MaximalReport(maximal_indices=maximal, successors=successors)
 

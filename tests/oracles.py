@@ -2,7 +2,9 @@
 
 Everything here recomputes results from first principles (enumeration,
 matching, strict-argmax by hand) so the library's constructive code paths
-are checked against genuinely independent machinery.
+are checked against genuinely independent machinery.  The reference
+engines keep the plain loop versions of the two compensation engines,
+which the one-pass engines must match exactly.
 """
 
 from __future__ import annotations
@@ -12,16 +14,28 @@ import random
 from fractions import Fraction
 
 from neutrochoice import (
+    CompensationExhaustedError,
+    CompensationPair,
+    CompensationPlan,
+    MaximalReport,
     NeutroChoice,
+    PreconditionViolatedError,
+    Provenance,
     SetFamily,
+    SuccessorEntry,
     Tree,
     TreeChoice,
     Triplet,
+    Verdict,
     ZornFamily,
     build_choice,
     build_tree_choice,
+    check_compensation,
+    classify,
     make_triplet,
+    partition_set,
     random_triplet,
+    superset_fan,
 )
 
 # ---------------------------------------------------------------------------
@@ -247,6 +261,170 @@ def zorn_compensation_feasible(family: ZornFamily, table: dict) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# reference engines: the original one-recipient-at-a-time loops
+#
+# Both compensation engines were first written as direct loops: the family
+# allocator rescans the whole pool for every recipient, and the Zorn search
+# tries every candidate of every pending member against a fresh matching of
+# the members after it, deferring members it cannot serve to a later pass.
+# They are slow (O(R*P) and worse than cubic) but plainly follow the
+# documented discipline, so the one-pass engines must reproduce them exactly.
+
+
+def _top(choice: NeutroChoice, index: int, elements):
+    pos = {e: p for p, e in enumerate(choice.family.sets[index])}
+    return max(elements, key=lambda e: (choice.triplet(index, e).p_chosen, -pos[e]))
+
+
+def reference_allocate(choice: NeutroChoice) -> CompensationPlan:
+    """The allocator as a per-recipient scan of the donor pool."""
+    report = check_compensation(choice)
+    if not report.holds:
+        raise PreconditionViolatedError(
+            f"uncompensatable sets: {list(report.uncompensatable)}"
+        )
+    family = choice.family
+    parts = [partition_set(choice, i) for i in range(len(family))]
+    marks = []
+    pool = []
+    for donor, part in enumerate(parts):
+        if len(part.chosen) < 2:
+            continue
+        top = _top(choice, donor, part.chosen)
+        marks.append((donor, top))
+        pos = {e: p for p, e in enumerate(family.sets[donor])}
+        for element in part.chosen:
+            if element != top:
+                pool.append(
+                    (choice.triplet(donor, element).p_chosen, donor, pos[element], element)
+                )
+    pairs = []
+    for recipient, part in enumerate(parts):
+        if part.chosen:
+            continue
+        compensated = _top(choice, recipient, family.sets[recipient])
+        best = max(pool, key=lambda entry: (entry[0], -entry[1], -entry[2]))
+        pool.remove(best)
+        _, donor, _, compensator = best
+        marks.append((donor, compensator))
+        pairs.append(
+            CompensationPair(
+                recipient_index=recipient,
+                compensated=compensated,
+                donor_index=donor,
+                compensator=compensator,
+            )
+        )
+    return CompensationPlan(pairs=tuple(pairs), marks=tuple(marks))
+
+
+def _matching_covers(pending: list[int], candidates: dict[int, set[int]]) -> bool:
+    """True when every pending member can take a distinct candidate."""
+    matched: dict[int, int] = {}
+
+    def assign(member: int, banned: set[int]) -> bool:
+        for candidate in sorted(candidates.get(member, ())):
+            if candidate in banned:
+                continue
+            banned.add(candidate)
+            holder = matched.get(candidate)
+            if holder is None or assign(holder, banned):
+                matched[candidate] = member
+                return True
+        return False
+
+    return all(assign(member, set()) for member in pending)
+
+
+def reference_find_maximal(family: ZornFamily, table: dict) -> MaximalReport:
+    """``find_maximal`` as a try-every-candidate search with deferred passes.
+
+    ``table`` must be total; raw triplets are converted with ``make_triplet``.
+    """
+    table = {
+        key: value if isinstance(value, Triplet) else make_triplet(*value)
+        for key, value in table.items()
+    }
+    n = len(family)
+    fans = {i: superset_fan(family, family.members[i]).entry_indices for i in range(n)}
+    maximal = tuple(i for i in range(n) if not fans[i])
+    successors: dict[int, SuccessorEntry] = {}
+    marked: set[int] = set()
+    pending: list[int] = []
+    for base_index in range(n):
+        fan = fans[base_index]
+        if not fan:
+            continue
+        chosen_entries = [
+            entry for entry in fan
+            if classify(table[(base_index, entry)]) is Verdict.CHOSEN
+        ]
+        if chosen_entries:
+            top = max(
+                chosen_entries,
+                key=lambda entry: (table[(base_index, entry)].p_chosen, -entry),
+            )
+            marked.add(top)
+            successors[base_index] = SuccessorEntry(
+                successor_index=top, provenance=Provenance.DIRECT
+            )
+        else:
+            pending.append(base_index)
+
+    def candidate_records(base_index: int) -> list[tuple]:
+        base = family.members[base_index]
+        records = []
+        for donor in range(n):
+            for entry in fans[donor]:
+                if entry in marked:
+                    continue
+                if classify(table[(donor, entry)]) is not Verdict.CHOSEN:
+                    continue
+                if not base < family.members[entry]:
+                    continue
+                records.append((table[(donor, entry)].p_chosen, donor, entry))
+        records.sort(key=lambda rec: (-rec[0], rec[1], rec[2]))
+        return records
+
+    def candidate_sets(members) -> dict[int, set[int]]:
+        return {
+            member: {entry for _, _, entry in candidate_records(member)}
+            for member in members
+        }
+
+    while pending:
+        progressed = False
+        deferred: list[int] = []
+        for position, base_index in enumerate(pending):
+            rest = pending[position + 1 :] + deferred
+            picked = None
+            tried: set[int] = set()
+            for _, _donor, entry in candidate_records(base_index):
+                if entry in tried:
+                    continue
+                tried.add(entry)
+                marked.add(entry)
+                if _matching_covers(rest, candidate_sets(rest)):
+                    picked = entry
+                    break
+                marked.discard(entry)
+            if picked is None:
+                deferred.append(base_index)
+                continue
+            successors[base_index] = SuccessorEntry(
+                successor_index=picked, provenance=Provenance.COMPENSATED
+            )
+            progressed = True
+        pending = deferred
+        if not progressed:
+            raise CompensationExhaustedError(
+                f"member {pending[0]} has no reachable compensator",
+                address=f"member {pending[0]}",
+            )
+    return MaximalReport(maximal_indices=maximal, successors=successors)
+
+
+# ---------------------------------------------------------------------------
 # samplers (deterministic given the rng)
 
 
@@ -349,4 +527,103 @@ def sample_zorn_instance(
                 table[(i, q)] = rng.choice(groups["chosen"])
             else:
                 table[(i, q)] = rng.choice(non_chosen)
+    return family, table
+
+
+def sample_needy_family(
+    rng: random.Random, groups: dict[str, list[Triplet]], n_sets: int
+) -> NeutroChoice:
+    """About half needy sets (2-4 elements, none chosen) and half rich ones
+    (6-10 elements, each chosen with probability 9/10): a large donor pool
+    and many recipients, as in the benchmark's allocate workload.  Redraws
+    until the family can be compensated."""
+    non_chosen = groups["not_chosen"] + groups["indeterminate"]
+    while True:
+        sets, triplets = [], {}
+        empty = capacity = 0
+        for i in range(n_sets):
+            needy = rng.random() < 0.5
+            size = rng.randint(2, 4) if needy else rng.randint(6, 10)
+            elements = tuple(f"x{v}" for v in rng.sample(range(64), size))
+            chosen = 0
+            for element in elements:
+                pick = not needy and rng.random() < 0.9
+                chosen += pick
+                triplets[(i, element)] = rng.choice(groups["chosen"] if pick else non_chosen)
+            empty += chosen == 0
+            capacity += max(chosen - 1, 0)
+            sets.append(elements)
+        if empty <= capacity:
+            return build_choice(SetFamily(sets=tuple(sets)), triplets)
+
+
+def _starved_members_servable(family: ZornFamily, fans, table) -> bool:
+    """Kuhn's matching of starved members to unmarked chosen entries."""
+    marked, offered = set(), set()
+    starved = []
+    for base, fan in enumerate(fans):
+        picks = [q for q in fan if _argmax_verdict(table[(base, q)]) == "chosen"]
+        offered.update(picks)
+        if picks:
+            marked.add(max(picks, key=lambda q: (table[(base, q)].p_chosen, -q)))
+        elif fan:
+            starved.append(base)
+    options = {
+        a: [q for q in offered - marked if family.members[a] < family.members[q]]
+        for a in starved
+    }
+    holder: dict[int, int] = {}
+
+    def assign(a: int, seen: set) -> bool:
+        for q in options[a]:
+            if q not in seen:
+                seen.add(q)
+                if q not in holder or assign(holder[q], seen):
+                    holder[q] = a
+                    return True
+        return False
+
+    return all(assign(a, set()) for a in starved)
+
+
+def sample_starved_zorn(
+    rng: random.Random,
+    groups: dict[str, list[Triplet]],
+    n: int,
+    atoms: int = 12,
+    starve: float = 0.3,
+    feasible: bool = True,
+) -> tuple[ZornFamily, dict]:
+    """``n`` random members over ``atoms`` atoms; every fan gets one chosen
+    entry and more with probability 0.3, then up to a share ``starve`` of
+    the members whose fans hold a fifth of the family are starved (every
+    entry unchosen).  With ``feasible`` a starved member is kept only while
+    every starved member stays servable, as in the benchmark's workload;
+    without it the starving is unchecked and often exhausts the pool."""
+    members: list[frozenset] = []
+    while len(members) < n:
+        member = frozenset(rng.sample(range(atoms), rng.randint(1, atoms - 1)))
+        if member not in members:
+            members.append(member)
+    family = ZornFamily(members=tuple(members))
+    fans = [[j for j, other in enumerate(members) if base < other] for base in members]
+    non_chosen = groups["not_chosen"] + groups["indeterminate"]
+    table = {}
+    for base, fan in enumerate(fans):
+        forced = rng.choice(fan) if fan else None
+        for entry in fan:
+            pick = entry == forced or rng.random() < 0.3
+            table[(base, entry)] = rng.choice(groups["chosen"] if pick else non_chosen)
+    large = [i for i, fan in enumerate(fans) if len(fan) * 5 >= n]
+    quota = round(starve * len(large))
+    kept = 0
+    for base in rng.sample(large, len(large)):
+        if kept == quota:
+            break
+        saved = {(base, entry): table[(base, entry)] for entry in fans[base]}
+        table.update(((base, entry), rng.choice(non_chosen)) for entry in fans[base])
+        if not feasible or _starved_members_servable(family, fans, table):
+            kept += 1
+        else:
+            table.update(saved)
     return family, table

@@ -334,3 +334,16 @@ def test_verify_report_rejects_malformed_input(tmp_path, capsys, doc, address):
     assert code == 2
     diag = payload["diagnostics"][0]
     assert (diag["type"], diag["address"]) == ("SchemaError", address)
+
+
+@pytest.mark.parametrize("command", ["partition", "generate-assignment"])
+@pytest.mark.parametrize(
+    "flags", [(), ("--seed", "3"), ("--bound", "12"), ("--seed", "3", "--bound", "12")],
+    ids=["no-flag", "seed", "bound", "seed-and-bound"],
+)
+def test_non_object_rng_is_a_schema_error(tmp_path, capsys, command, flags):
+    path = write_doc(tmp_path, "bad.json", {"kind": "family", "sets": [["a"]], "rng": 5})
+    code, payload = run(capsys, command, path, *flags)
+    assert code == 2
+    diag = payload["diagnostics"][0]
+    assert (diag["type"], diag["address"]) == ("SchemaError", "rng")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -20,7 +21,15 @@ from neutrochoice import (
     product_status,
     verify_plan,
 )
-from oracles import compensation_holds_matching, sample_choice, sample_family
+from oracles import (
+    compensation_holds_matching,
+    reference_allocate,
+    sample_choice,
+    sample_family,
+    sample_needy_family,
+    split_pool,
+    triplet_pool,
+)
 
 CHOSEN = ("6/10", "3/10", "1/10")
 NOT_CHOSEN = ("1/10", "7/10", "2/10")
@@ -232,6 +241,46 @@ def test_verify_plan_rejects_tampering():
     )
     tampered = plan.__class__(pairs=(bad,), marks=plan.marks)
     assert not verify_plan(choice, tampered)  # y is the donor's reserved top
+
+
+def test_allocate_matches_reference_fuzz():
+    rng = random.Random(2024)
+    planned = refused = 0
+    for _ in range(400):
+        family = sample_family(rng, rng.choice((4, 8, 16)), 6)
+        choice = sample_choice(rng, family, bound=rng.choice((6, 12)))
+        try:
+            expected = reference_allocate(choice)
+        except PreconditionViolatedError:
+            with pytest.raises(PreconditionViolatedError):
+                allocate_compensators(choice)
+            refused += 1
+            continue
+        assert allocate_compensators(choice) == expected
+        planned += 1
+    assert planned >= 100 and refused >= 50, (planned, refused)
+
+
+def test_allocate_matches_reference_on_needy_families():
+    # half needy sets, half rich ones: up to 200 sets, the benchmark's sizes
+    rng = random.Random(77)
+    groups = split_pool(triplet_pool(12))
+    for n_sets in (20, 100, 200, 200, 200):
+        choice = sample_needy_family(rng, groups, n_sets)
+        plan = allocate_compensators(choice)
+        assert plan == reference_allocate(choice)
+        assert len(plan.pairs) >= n_sets // 4
+
+
+def test_allocate_5000_sets_in_one_pass():
+    rng = random.Random(5)
+    choice = sample_needy_family(rng, split_pool(triplet_pool(12)), 5000)
+    started = time.perf_counter()
+    plan = allocate_compensators(choice)
+    elapsed = time.perf_counter() - started
+    assert len(plan.pairs) > 2000
+    assert verify_plan(choice, plan)
+    assert elapsed < 5
 
 
 def test_check_compensation_agrees_with_matcher_smoke():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -61,12 +62,30 @@ def test_build_tree_rejects_deep_strings():
         build_tree(["0110"], 3)
 
 
+def _every_prefix(strings) -> frozenset:
+    return frozenset(s[:cut] for s in ["", *strings] for cut in range(len(s) + 1))
+
+
 @given(st.lists(bits, max_size=8))
 def test_build_tree_closure_is_prefix_closed(strings):
     tree = build_tree(strings, 6)
     for node in tree.nodes:
         for cut in range(len(node)):
             assert node[:cut] in tree.nodes
+    assert tree.nodes == _every_prefix(strings)
+    assert build_tree(reversed(strings), 6).nodes == tree.nodes
+
+
+def test_build_tree_deep_chain_is_fast():
+    rng = random.Random(1500)
+    leaf = "".join(rng.choice("01") for _ in range(1500))
+    closure = sorted(_every_prefix([leaf]), key=lambda n: (len(n), n))
+    for strings in ([leaf], closure, closure[::-1]):
+        started = time.perf_counter()
+        tree = build_tree(strings, 1500)
+        elapsed = time.perf_counter() - started
+        assert tree.nodes == frozenset(closure)
+        assert elapsed < 0.1
 
 
 def test_string_relation_examples():

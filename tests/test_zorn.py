@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -16,12 +17,16 @@ from neutrochoice import (
     build_choice,
     check_chain_closed,
     find_maximal,
+    make_triplet,
     partition_set,
     superset_fan,
     verify_report,
 )
+from neutrochoice.zorn import fan_pairs
 from oracles import (
     brute_maximal_indices,
+    reference_find_maximal,
+    sample_starved_zorn,
     sample_zorn_instance,
     split_pool,
     triplet_pool,
@@ -146,6 +151,104 @@ def test_find_maximal_exhaustion_names_the_starved_member():
     with pytest.raises(CompensationExhaustedError) as info:
         find_maximal(family, table)
     assert "0" in str(info.value)
+
+
+def test_exhaustion_names_a_member_that_cannot_be_served():
+    # the empty set's fan chooses {z} (its top, reserved), {b,c,x} and
+    # {a,y}; every other fan entry is unchosen.  {a} can take {a,y}, but
+    # {b} and {c} both fit only inside {b,c,x}: the Hall violator is
+    # members 2 and 3, and member 3 is the one left without a compensator
+    family = ZornFamily(
+        members=tuple(frozenset(m) for m in ((), "a", "b", "c", "bcx", "ay", "z"))
+    )
+    table = {pair: NOT_CHOSEN for pair in fan_pairs(family)}
+    table[(0, 6)] = ("7/10", "2/10", "1/10")
+    table[(0, 4)] = CHOSEN_HI
+    table[(0, 5)] = CHOSEN_LO
+    with pytest.raises(CompensationExhaustedError) as info:
+        find_maximal(family, table)
+    assert info.value.address == "member 3"
+    assert "members [2, 3]" in str(info.value)
+    assert "[4]" in str(info.value)
+
+
+def _assert_same_as_reference(family, table) -> str:
+    """Run both engines; return "exhausted", "compensated" or "direct"."""
+    try:
+        expected = reference_find_maximal(family, table)
+    except CompensationExhaustedError:
+        with pytest.raises(CompensationExhaustedError):
+            find_maximal(family, table)
+        return "exhausted"
+    report = find_maximal(family, table)
+    assert report == expected
+    assert list(report.successors.items()) == list(expected.successors.items())
+    if any(e.provenance is Provenance.COMPENSATED for e in report.successors.values()):
+        return "compensated"
+    return "direct"
+
+
+def test_find_maximal_matches_reference_fuzz():
+    rng = random.Random(9090)
+    groups = split_pool(triplet_pool(6))
+    counts = {"exhausted": 0, "compensated": 0, "direct": 0}
+    for _ in range(600):
+        family, table = sample_zorn_instance(
+            rng, groups, max_members=rng.choice((6, 10, 16)), universe=rng.choice(("abcde", "abcdefg"))
+        )
+        counts[_assert_same_as_reference(family, table)] += 1
+    assert min(counts.values()) >= 50, counts
+
+
+def test_find_maximal_matches_reference_on_starved_families():
+    # 50-100 members with starved large fans, the shape of the benchmark's
+    # zorn workload; starving every large fan unchecked exhausts most
+    # 50-member families (the reference engine is too slow to exhaust
+    # larger ones in a unit test)
+    rng = random.Random(31)
+    groups = split_pool(triplet_pool(12))
+    counts = {"exhausted": 0, "compensated": 0, "direct": 0}
+    for n in (50, 80, 100):
+        for _ in range(6):
+            family, table = sample_starved_zorn(rng, groups, n)
+            counts[_assert_same_as_reference(family, table)] += 1
+    for _ in range(8):
+        family, table = sample_starved_zorn(rng, groups, 50, starve=1.0, feasible=False)
+        counts[_assert_same_as_reference(family, table)] += 1
+    assert counts["compensated"] >= 18 and counts["exhausted"] >= 4, counts
+
+
+def test_find_maximal_serves_over_a_thousand_pending_members():
+    # pending members {x_i} fit inside the universal member Q and the links
+    # {x_(i-1), x_i, y_i}, {x_i, x_(i+1), y_(i+1)}; Q ranks first, so every
+    # new member displaces the previous holder of Q down a chain as long as
+    # the family, and fixing member 0 on Q re-routes the whole chain again
+    k = 1050
+    xs = [f"x{i}" for i in range(k)]
+    members = [frozenset(), frozenset({"w"}), frozenset(xs)]
+    members += [frozenset({x}) for x in xs]
+    members += [frozenset({xs[i - 1], xs[i], f"y{i}"}) for i in range(1, k)]
+    members.append(frozenset({xs[-1], "z"}))
+    family = ZornFamily(members=tuple(members))
+    top, high, low, no = (
+        make_triplet(*t) for t in (("9/10", "3/40", "1/40"), CHOSEN_HI, CHOSEN_LO, NOT_CHOSEN)
+    )
+    table = {
+        (base, entry): (top if entry == 1 else high if entry == 2 else low) if base == 0 else no
+        for base, entry in fan_pairs(family)
+    }
+    started = time.perf_counter()
+    report = find_maximal(family, table)
+    elapsed = time.perf_counter() - started
+    compensated = {
+        base: entry.successor_index
+        for base, entry in report.successors.items()
+        if entry.provenance is Provenance.COMPENSATED
+    }
+    assert len(compensated) == k
+    assert compensated[3] == 2  # member 0 of the chain takes Q, ranked first
+    assert verify_report(family, report)
+    assert elapsed < 10
 
 
 def test_verify_report_rejects_false_maximal_claim():
