@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import json
 import random
-from typing import Any
+from typing import Any, Callable
 
 from .errors import NeutroChoiceError, ParseError, SchemaError
 from . import tree as tree_mod
 from . import zorn as zorn_mod
 from .family import NeutroChoice, SetFamily, build_choice
-from .triplet import parse_triplet, random_triplet
+from .triplet import Triplet, parse_triplet, random_triplet
 from .zorn import MaximalReport, Provenance, SuccessorEntry, ZornFamily
 
 KINDS = ("family", "tree", "zorn")
@@ -46,11 +46,34 @@ def _schema(condition: bool, message: str, address: str | None = None) -> None:
         raise SchemaError(message, address=address)
 
 
-def _canonical_triplet(raw: Any, address: str) -> list[str]:
+def _reader() -> Callable[[Any], Triplet]:
+    """Return a ``parse_triplet`` that parses each distinct triplet once.
+
+    Documents repeat a few distinct triplets over thousands of entries, so
+    one reader serves one validation or build call and is then dropped.
+    Errors are not stored: a bad triplet raises afresh wherever it recurs.
+    Only all-string triplets are stored, because ``"1/2"`` equals only
+    strings while ``Fraction(1, 2)`` also equals the float ``0.5``.
+    """
+    parsed: dict[tuple, Triplet] = {}
+
+    def read(values) -> Triplet:
+        key = tuple(values)
+        triplet = parsed.get(key)
+        if triplet is None:
+            triplet = parse_triplet(key)
+            if all(isinstance(v, str) for v in key):
+                parsed[key] = triplet
+        return triplet
+
+    return read
+
+
+def _canonical_triplet(raw: Any, address: str, read: Callable[[Any], Triplet]) -> list[str]:
     _schema(isinstance(raw, list) and len(raw) == 3, "triplet must be a 3-item list", address)
     _schema(all(isinstance(v, str) for v in raw), "triplet components must be 'num/den' strings", address)
     try:
-        return parse_triplet(raw).serialize()
+        return read(raw).serialize()
     except (NeutroChoiceError, ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"invalid triplet at {address}: {exc}", address=address) from exc
 
@@ -86,6 +109,7 @@ def _validate_family(doc: dict) -> dict:
             "assignment",
         )
         out_assignment = []
+        read = _reader()
         for i, (raw_set, table) in enumerate(zip(out_sets, assignment)):
             _schema(isinstance(table, dict), f"assignment[{i}] must be an object", f"assignment[{i}]")
             for element in raw_set:
@@ -101,7 +125,7 @@ def _validate_family(doc: dict) -> dict:
             )
             out_assignment.append(
                 {
-                    element: _canonical_triplet(table[element], f"assignment[{i}][{element!r}]")
+                    element: _canonical_triplet(table[element], f"assignment[{i}][{element!r}]", read)
                     for element in raw_set
                 }
             )
@@ -131,8 +155,9 @@ def _validate_tree(doc: dict) -> dict:
         for node in closure:
             _schema(node in table, f"assignment is missing node {node!r}", f"assignment[{node!r}]")
         _schema(set(table) == set(closure), "assignment names nodes outside the tree", "assignment")
+        read = _reader()
         out["assignment"] = {
-            node: _canonical_triplet(table[node], f"assignment[{node!r}]") for node in closure
+            node: _canonical_triplet(table[node], f"assignment[{node!r}]", read) for node in closure
         }
     return out
 
@@ -159,6 +184,7 @@ def _validate_zorn(doc: dict) -> dict:
         raw_table = doc["fan_triplets"]
         _schema(isinstance(raw_table, list), "fan_triplets must be a list", "fan_triplets")
         seen: dict[tuple[int, int], list[str]] = {}
+        read = _reader()
         for i, record in enumerate(raw_table):
             _schema(isinstance(record, dict), f"fan_triplets[{i}] must be an object", f"fan_triplets[{i}]")
             member = record.get("member")
@@ -175,7 +201,7 @@ def _validate_zorn(doc: dict) -> dict:
             )
             _schema((member, entry) not in seen, f"fan_triplets[{i}] duplicates a pair", f"fan_triplets[{i}]")
             seen[(member, entry)] = _canonical_triplet(
-                record.get("triplet"), f"fan_triplets[{i}].triplet"
+                record.get("triplet"), f"fan_triplets[{i}].triplet", read
             )
         for pair in pairs:
             _schema(
@@ -253,8 +279,9 @@ def generate_assignment(doc: dict) -> dict:
 def family_choice(doc: dict) -> NeutroChoice:
     """Build the core choice object from a canonical family document."""
     family = SetFamily(sets=tuple(tuple(s) for s in doc["sets"]))
+    read = _reader()
     triplets = {
-        (i, element): parse_triplet(values)
+        (i, element): read(values)
         for i, table in enumerate(doc["assignment"])
         for element, values in table.items()
     }
@@ -265,7 +292,8 @@ def tree_choice(doc: dict, horizon_override: int | None = None) -> tree_mod.Tree
     """Build the core tree-choice object from a canonical tree document."""
     horizon = horizon_override if horizon_override is not None else doc["horizon"]
     built = tree_mod.build_tree(doc["strings"], horizon)
-    triplets = {node: parse_triplet(values) for node, values in doc["assignment"].items()}
+    read = _reader()
+    triplets = {node: read(values) for node, values in doc["assignment"].items()}
     return tree_mod.build_tree_choice(built, triplets)
 
 
@@ -277,8 +305,9 @@ def zorn_family(doc: dict) -> ZornFamily:
 def zorn_inputs(doc: dict) -> tuple[ZornFamily, dict]:
     """Build the family and fan-triplet table from a canonical zorn document."""
     family = zorn_family(doc)
+    read = _reader()
     table = {
-        (record["member"], record["entry"]): parse_triplet(record["triplet"])
+        (record["member"], record["entry"]): read(record["triplet"])
         for record in doc["fan_triplets"]
     }
     return family, table

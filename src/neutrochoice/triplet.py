@@ -93,15 +93,17 @@ class Triplet:
         object.__setattr__(self, "p_chosen", i)
         object.__setattr__(self, "p_not_chosen", j)
         object.__setattr__(self, "p_indeterminate", k)
-        for name, c in (("p_chosen", i), ("p_not_chosen", j), ("p_indeterminate", k)):
-            if c < _ZERO or c > _ONE:
-                raise OutOfRangeError(
-                    f"{name}={format_rational(c)} lies outside [0, 1]", address=name
-                )
-        total = i + j + k
-        if total != _ONE:
-            raise SumNotOneError(f"components sum to {format_rational(total)}, not 1")
-        if i == j or j == k or i == k:
+        # The checks run on numerators and denominators: a Fraction keeps its
+        # denominator positive and its terms lowest, so equal values have
+        # equal parts, and Fraction arithmetic is left to the error messages.
+        a, b, c = i.numerator, j.numerator, k.numerator
+        x, y, z = i.denominator, j.denominator, k.denominator
+        for name, num, den in (("p_chosen", a, x), ("p_not_chosen", b, y), ("p_indeterminate", c, z)):
+            if num < 0 or num > den:
+                raise OutOfRangeError(f"{name}={num}/{den} lies outside [0, 1]", address=name)
+        if a * y * z + b * x * z + c * x * y != x * y * z:
+            raise SumNotOneError(f"components sum to {format_rational(i + j + k)}, not 1")
+        if (a == b and x == y) or (b == c and y == z) or (a == c and x == z):
             raise TieViolationError(
                 f"components must be pairwise distinct, got "
                 f"({format_rational(i)}, {format_rational(j)}, {format_rational(k)})"

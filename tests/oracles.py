@@ -19,10 +19,13 @@ from neutrochoice import (
     CompensationPlan,
     MaximalReport,
     NeutroChoice,
+    OutOfRangeError,
     PreconditionViolatedError,
     Provenance,
     SetFamily,
     SuccessorEntry,
+    SumNotOneError,
+    TieViolationError,
     Tree,
     TreeChoice,
     Triplet,
@@ -60,6 +63,25 @@ def triplet_pool(max_denominator: int) -> list[Triplet]:
             continue
         pool.append(make_triplet(a, b, c))
     return pool
+
+
+def reference_triplet_error(i: Fraction, j: Fraction, k: Fraction):
+    """The error ``Triplet(i, j, k)`` must raise, found by Fraction arithmetic.
+
+    Returns ``(type, message, address)``, or ``None`` when the components
+    form a valid triplet.  The checks run in the library's order: range,
+    then sum, then ties.
+    """
+    for name, c in (("p_chosen", i), ("p_not_chosen", j), ("p_indeterminate", k)):
+        if c < 0 or c > 1:
+            return OutOfRangeError, f"{name}={c.numerator}/{c.denominator} lies outside [0, 1]", name
+    total = i + j + k
+    if total != 1:
+        return SumNotOneError, f"components sum to {total.numerator}/{total.denominator}, not 1", None
+    if i == j or j == k or i == k:
+        shown = ", ".join(f"{c.numerator}/{c.denominator}" for c in (i, j, k))
+        return TieViolationError, f"components must be pairwise distinct, got ({shown})", None
+    return None
 
 
 def _argmax_verdict(triplet: Triplet) -> str:

@@ -347,3 +347,39 @@ def test_non_object_rng_is_a_schema_error(tmp_path, capsys, command, flags):
     assert code == 2
     diag = payload["diagnostics"][0]
     assert (diag["type"], diag["address"]) == ("SchemaError", "rng")
+
+
+@pytest.mark.parametrize("triplet", [[["1/2"], "1/3", "1/6"], [1, 2, 3]], ids=["nested-list", "integers"])
+def test_non_string_triplet_components_are_schema_errors(tmp_path, capsys, triplet):
+    doc = {"kind": "family", "sets": [["a", "b"]], "assignment": [{"a": triplet, "b": triplet}]}
+    path = write_doc(tmp_path, "bad.json", doc)
+    code, payload = run(capsys, "classify", path)
+    assert code == 2
+    assert payload["diagnostics"] == [
+        {
+            "type": "SchemaError",
+            "message": "triplet components must be 'num/den' strings",
+            "address": "assignment[0]['a']",
+        }
+    ]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=RecursionError,
+    reason="_PathSearch.extend recurses once per level; see ROADMAP 'Fix first', deep-horizon RecursionError",
+)
+def test_find_path_on_a_horizon_1500_chain(tmp_path, capsys):
+    horizon = 1500
+    chain = {
+        "kind": "tree",
+        "strings": ["1" * horizon],
+        "horizon": horizon,
+        "assignment": {"1" * level: ["6/10", "3/10", "1/10"] for level in range(horizon + 1)},
+    }
+    path = write_doc(tmp_path, "chain.json", chain)
+    code, payload = run(capsys, "find-path", path)
+    assert code == 0
+    trace = payload["outputs"]["trace"]
+    assert trace["final_path"] == "1" * horizon
+    assert [s["kind"] for s in trace["stages"]] == ["chosen_max"] * (horizon + 1)

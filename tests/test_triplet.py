@@ -23,7 +23,11 @@ from neutrochoice import (
     random_triplet,
 )
 from neutrochoice.triplet import triplet_table
-from oracles import triplet_pool
+from oracles import reference_triplet_error, triplet_pool
+
+unit_range_fractions = st.builds(
+    Fraction, st.integers(min_value=-3, max_value=14), st.integers(min_value=1, max_value=12)
+)
 
 
 def test_make_triplet_accepts_valid_components():
@@ -61,6 +65,39 @@ def test_triplet_validates_on_construction():
         Fraction(3, 10),
         Fraction(1, 10),
     )
+
+
+@pytest.mark.parametrize(
+    "components, error, message, address",
+    [
+        (("3/2", "-1/4", "-1/4"), OutOfRangeError, "p_chosen=3/2 lies outside [0, 1]", "p_chosen"),
+        (("1/4", "-1/4", "1"), OutOfRangeError, "p_not_chosen=-1/4 lies outside [0, 1]", "p_not_chosen"),
+        (("1/3", "1/3", "4/3"), OutOfRangeError, "p_indeterminate=4/3 lies outside [0, 1]", "p_indeterminate"),
+        (("1/2", "1/4", "1/8"), SumNotOneError, "components sum to 7/8, not 1", None),
+        (("1/2", "1/3", "1/3"), SumNotOneError, "components sum to 7/6, not 1", None),
+        (("1/3", "1/3", "1/3"), TieViolationError, "components must be pairwise distinct, got (1/3, 1/3, 1/3)", None),
+        (("0", "2/4", "1/2"), TieViolationError, "components must be pairwise distinct, got (0/1, 1/2, 1/2)", None),
+        (("3/12", "1/2", "1/4"), TieViolationError, "components must be pairwise distinct, got (1/4, 1/2, 1/4)", None),
+    ],
+)
+def test_triplet_errors_keep_their_messages(components, error, message, address):
+    with pytest.raises(error) as info:
+        make_triplet(*components)
+    assert (str(info.value), info.value.address) == (message, address)
+
+
+@given(unit_range_fractions, unit_range_fractions, st.one_of(unit_range_fractions, st.none()))
+def test_triplet_checks_match_fraction_arithmetic(i, j, k):
+    if k is None:
+        k = 1 - i - j
+    expected = reference_triplet_error(i, j, k)
+    if expected is None:
+        assert Triplet(i, j, k).components() == (i, j, k)
+        return
+    error, message, address = expected
+    with pytest.raises(error) as info:
+        Triplet(i, j, k)
+    assert (str(info.value), info.value.address) == (message, address)
 
 
 def test_triplet_table_passes_triplets_and_tags_raw_errors():
