@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from typing import Any, Callable
 
 from .errors import NeutroChoiceError, ParseError, SchemaError
@@ -31,6 +32,12 @@ def load_document(path: str) -> dict:
             doc = json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path} is not UTF-8 text: {exc.reason}", address=f"byte {exc.start}"
+        ) from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path} nests arrays or objects too deeply to parse") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{path} is not valid JSON: {exc.msg}",
@@ -88,6 +95,12 @@ def _validate_rng(raw: Any) -> dict:
     _schema(_is_int(raw.get("seed")), "rng.seed must be an integer", "rng.seed")
     bound = raw.get("denominator_bound")
     _schema(_is_int(bound), "rng.denominator_bound must be an integer", "rng.denominator_bound")
+    # the sampler draws from range(bound + 2), whose length must fit a C ssize_t
+    _schema(
+        bound + 2 <= sys.maxsize,
+        f"rng.denominator_bound must be at most {sys.maxsize - 2}",
+        "rng.denominator_bound",
+    )
     return {"seed": raw["seed"], "denominator_bound": bound}
 
 

@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Hashable, Mapping
 
 from .errors import IndexOutOfRangeError, InvalidChoiceError, PreconditionViolatedError
-from .triplet import Triplet, Verdict, classify, make_triplet, triplet_table
+from .triplet import Triplet, Verdict, make_triplet, triplet_table
 
 Element = Hashable
 
@@ -128,7 +128,7 @@ def partition_set(choice: NeutroChoice, index: int) -> Partition:
         raise IndexOutOfRangeError(f"set index {index} out of range")
     parts: dict[Verdict, list[Element]] = {v: [] for v in Verdict}
     for element in choice.family.sets[index]:
-        parts[classify(choice.triplet(index, element))].append(element)
+        parts[choice.triplet(index, element).verdict].append(element)
     return Partition(
         chosen=tuple(parts[Verdict.CHOSEN]),
         not_chosen=tuple(parts[Verdict.NOT_CHOSEN]),

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import (
     DepthExceededError,
@@ -30,7 +30,7 @@ from .errors import (
     NodeNotInTreeError,
     PreconditionViolatedError,
 )
-from .triplet import Verdict, classify, triplet_table
+from .triplet import Verdict, triplet_table
 from .triplet import make_triplet  # noqa: F401  bench/spans.py wraps tree.make_triplet by name
 
 ROOT = ""
@@ -168,7 +168,7 @@ def dead_levels(tc: TreeChoice) -> list[int]:
     """Levels that contain nodes but no chosen node, ascending."""
     dead = []
     for lvl, nodes in sorted(tc.tree.levels().items()):
-        if not any(classify(tc.assignment[n]) is Verdict.CHOSEN for n in nodes):
+        if not any(tc.assignment[n].verdict is Verdict.CHOSEN for n in nodes):
             dead.append(lvl)
     return dead
 
@@ -195,11 +195,11 @@ def _reach_depths(tree: Tree) -> dict[str, int]:
 
 
 class _PathSearch:
-    """Depth-first stage construction with compensator marking."""
+    """Per-tree index (reach depths, levels, verdicts) and the depth-first
+    stage construction over it, with compensator marking."""
 
     def __init__(self, tc: TreeChoice):
         self.tc = tc
-        self.tree = tc.tree
         self.horizon = tc.tree.horizon
         self.reach = _reach_depths(tc.tree)
         self.by_level = tc.tree.levels()
@@ -208,7 +208,7 @@ class _PathSearch:
         self.stages: list[Stage] = []
 
     def is_chosen(self, node: str) -> bool:
-        return classify(self.tc.assignment[node]) is Verdict.CHOSEN
+        return self.tc.assignment[node].verdict is Verdict.CHOSEN
 
     def pc(self, node: str):
         return self.tc.p_chosen(node)
@@ -217,24 +217,23 @@ class _PathSearch:
         """Enterable nodes for the next stage: full-extension successors."""
         if current is None:
             return [ROOT] if self.reach.get(ROOT) == self.horizon else []
+        # reach holds tree nodes only, so an absent child reads as None
         return [
-            current + bit
-            for bit in "01"
-            if current + bit in self.tree.nodes
-            and self.reach[current + bit] == self.horizon
+            child
+            for child in (current + "0", current + "1")
+            if self.reach.get(child) == self.horizon
         ]
 
-    def backward_compensators(self, current: str | None) -> list[str]:
+    def backward_compensators(self, current: str | None) -> Iterator[str]:
         """Unmarked chosen nodes beside a chosen node already on the path.
 
         A candidate at level ``m`` qualifies when the path's own level-``m``
         node is chosen with a strictly greater choice probability; ties
-        disqualify.  Ordered by level, then probability (descending), then
+        disqualify.  Yielded by level, then probability (descending), then
         lexicographically.
         """
         if current is None:
-            return []
-        found: list[str] = []
+            return
         for m in range(len(current) + 1):
             witness = current[:m]
             if not self.is_chosen(witness):
@@ -249,10 +248,9 @@ class _PathSearch:
                 and self.pc(node) < bar
             ]
             beside.sort(key=lambda n: (-self.pc(n), n))
-            found.extend(beside)
-        return found
+            yield from beside
 
-    def forward_moves(self, current: str | None, dead_level: int) -> list[tuple]:
+    def forward_moves(self, current: str | None, dead_level: int) -> Iterator[tuple]:
         """Moves licensed by an incompatible chosen pair past the dead level.
 
         The pair's lower-probability member is consumed as the compensator
@@ -260,7 +258,6 @@ class _PathSearch:
         level, then lexicographically; equal-length distinct strings are
         always incompatible.
         """
-        moves: list[tuple] = []
         seen: set[tuple] = set()
         base = current if current is not None else ROOT
         for m in range(dead_level + 1, self.max_level + 1):
@@ -283,27 +280,26 @@ class _PathSearch:
                 if key in seen:
                     continue
                 seen.add(key)
-                moves.append((slot, StepKind.COMP_FORWARD, low))
-        return moves
+                yield (slot, StepKind.COMP_FORWARD, low)
 
-    def moves(self, current: str | None) -> list[tuple]:
-        slots = self.candidates(current)
+    def moves(self, current: str | None) -> Iterator[tuple]:
+        """The next stage's moves in preference order, generated on demand.
+
+        ``extend`` restores ``marked`` before it pulls the next move, so a
+        move generated late sees the same marks as one generated first.
+        """
+        slots = sorted(self.candidates(current), key=lambda n: (-self.pc(n), n))
         if not slots:
-            return []
-        chosen_slots = sorted(
-            (s for s in slots if self.is_chosen(s)), key=lambda n: (-self.pc(n), n)
-        )
+            return
+        chosen_slots = [s for s in slots if self.is_chosen(s)]
         if chosen_slots:
-            return [(s, StepKind.CHOSEN_MAX, None) for s in chosen_slots]
-        dead_level = 0 if current is None else len(current) + 1
-        ordered_slots = sorted(slots, key=lambda n: (-self.pc(n), n))
-        moves = [
-            (slot, StepKind.COMP_BACKWARD, compensator)
-            for compensator in self.backward_compensators(current)
-            for slot in ordered_slots
-        ]
-        moves.extend(self.forward_moves(current, dead_level))
-        return moves
+            for slot in chosen_slots:
+                yield (slot, StepKind.CHOSEN_MAX, None)
+            return
+        for compensator in self.backward_compensators(current):
+            for slot in slots:
+                yield (slot, StepKind.COMP_BACKWARD, compensator)
+        yield from self.forward_moves(current, 0 if current is None else len(current) + 1)
 
     def extend(self, current: str | None) -> bool:
         if current is not None and len(current) == self.horizon:
@@ -359,20 +355,18 @@ def enumerate_paths(tc: TreeChoice, count: int) -> list[PathTrace]:
         raise ValueError(f"count must be positive, got {count}")
     if not tc.tree.nodes or ROOT not in tc.tree.nodes:
         raise EmptyTreeError("the tree has no root")
-    horizon = tc.tree.horizon
-    reach = _reach_depths(tc.tree)
-    frontier = [ROOT] if reach.get(ROOT) == horizon else []
-    for _ in range(horizon):
-        grown: list[str] = []
-        for node in frontier:
-            grown.extend(
-                child
-                for child in (node + "0", node + "1")
-                if child in tc.tree.nodes
-                and reach[child] == horizon
-                and classify(tc.assignment[child]) is Verdict.CHOSEN
-            )
-        frontier = sorted(grown)
+    search = _PathSearch(tc)
+    frontier = search.candidates(None)
+    level = 0
+    # children of a sorted level, taken in order, are again sorted
+    while frontier and level < search.horizon:
+        frontier = [
+            child
+            for node in frontier
+            for child in search.candidates(node)
+            if search.is_chosen(child)
+        ]
+        level += 1
     if len(frontier) < count:
         raise InsufficientBranchingError(
             f"only {len(frontier)} full-depth chosen paths exist, {count} requested"
@@ -381,7 +375,7 @@ def enumerate_paths(tc: TreeChoice, count: int) -> list[PathTrace]:
     for leaf in frontier[:count]:
         stages = tuple(
             Stage(index=s, node=leaf[:s], kind=StepKind.CHOSEN_MAX, compensator=None)
-            for s in range(horizon + 1)
+            for s in range(search.horizon + 1)
         )
         traces.append(PathTrace(stages=stages))
     return traces
@@ -391,62 +385,45 @@ def verify_trace(tc: TreeChoice, trace: PathTrace) -> bool:
     """Re-validate a path trace against the assignment alone.
 
     Checks the stage chain, horizon arrival, compensator marking
-    exclusivity, per-kind eligibility of every compensator, and that every
-    dead level of the tree was entered through a compensated stage.
+    exclusivity, and per-kind eligibility of every compensator.  A
+    chosen-max stage must enter a chosen node, so every dead level of the
+    tree is entered through a compensated stage.
     """
-    tree = tc.tree
-    horizon = tree.horizon
+    search = _PathSearch(tc)
+    horizon = search.horizon
     stages = trace.stages
     if len(stages) != horizon + 1:
         return False
-    reach = _reach_depths(tree)
-    by_level = tree.levels()
-
-    def chosen(node: str) -> bool:
-        return classify(tc.assignment[node]) is Verdict.CHOSEN
-
     for s, stage in enumerate(stages):
-        if stage.index != s or stage.node not in tree.nodes or len(stage.node) != s:
+        if stage.index != s or search.reach.get(stage.node) != horizon or len(stage.node) != s:
             return False
         if s > 0 and stage.node[:-1] != stages[s - 1].node:
             return False
-        if reach[stage.node] != horizon:
-            return False
-    if len(stages[-1].node) != horizon:
-        return False
 
     compensators = [st.compensator for st in stages if st.compensator is not None]
     if len(compensators) != len(set(compensators)):
         return False
 
+    chosen = search.is_chosen
+    pc = search.pc
     for s, stage in enumerate(stages):
         parent = stages[s - 1].node if s > 0 else None
-        siblings = (
-            [stage.node]
-            if parent is None
-            else [
-                parent + bit
-                for bit in "01"
-                if parent + bit in tree.nodes and reach[parent + bit] == horizon
-            ]
-        )
-        any_chosen = any(chosen(n) for n in siblings)
         if stage.kind is StepKind.CHOSEN_MAX:
             if stage.compensator is not None or not chosen(stage.node):
                 return False
             continue
         # Compensated stages require a genuinely dead step.
-        if any_chosen or stage.compensator is None:
+        if any(chosen(n) for n in search.candidates(parent)) or stage.compensator is None:
             return False
         comp = stage.compensator
-        if comp not in tree.nodes or not chosen(comp):
+        if comp not in tc.tree.nodes or not chosen(comp):
             return False
         if stage.kind is StepKind.COMP_BACKWARD:
             m = len(comp)
             if m >= s or parent is None:
                 return False
             witness = stage.node[:m]
-            if not chosen(witness) or not tc.p_chosen(comp) < tc.p_chosen(witness):
+            if not chosen(witness) or not pc(comp) < pc(witness):
                 return False
         elif stage.kind is StepKind.COMP_FORWARD:
             if len(comp) <= s:
@@ -454,28 +431,16 @@ def verify_trace(tc: TreeChoice, trace: PathTrace) -> bool:
             base = parent if parent is not None else ROOT
             if comp == base or not comp.startswith(base):
                 return False
-            partner_found = False
-            for other in by_level.get(len(comp), ()):
+            for other in search.by_level.get(len(comp), ()):
                 if other == comp or other == base or not other.startswith(base):
                     continue
-                if not chosen(other):
-                    continue
-                low, _high = sorted((comp, other), key=lambda n: (tc.p_chosen(n), n))
-                if low != comp:
+                if not chosen(other) or (pc(other), other) < (pc(comp), comp):
                     continue
                 if parent is not None and other[: len(stage.node)] != stage.node:
                     continue
-                partner_found = True
                 break
-            if not partner_found:
+            else:
                 return False
         else:
-            return False
-
-    # every dead level at or below the horizon must be compensated through
-    for lvl in dead_levels(tc):
-        if lvl > horizon:
-            continue
-        if stages[lvl].kind is StepKind.CHOSEN_MAX:
             return False
     return True

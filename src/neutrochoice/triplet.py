@@ -9,7 +9,7 @@ rejected everywhere.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
@@ -79,12 +79,14 @@ class Triplet:
     Construction coerces each component with :func:`as_rational` and
     checks, in this order: every component lies in [0, 1], the components
     sum to exactly 1, and no two components are equal (so the strict
-    maximum is unique).  Every instance therefore satisfies all three.
+    maximum is unique).  Every instance therefore satisfies all three, and
+    ``verdict`` holds the component with that unique strict maximum.
     """
 
     p_chosen: Fraction
     p_not_chosen: Fraction
     p_indeterminate: Fraction
+    verdict: Verdict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         i = as_rational(self.p_chosen)
@@ -108,6 +110,15 @@ class Triplet:
                 f"components must be pairwise distinct, got "
                 f"({format_rational(i)}, {format_rational(j)}, {format_rational(k)})"
             )
+        # a/x > b/y iff a*y > b*x, and with no ties j > i wherever i > j fails
+        i_over_j = a * y > b * x
+        if i_over_j and a * z > c * x:
+            verdict = Verdict.CHOSEN
+        elif not i_over_j and b * z > c * y:
+            verdict = Verdict.NOT_CHOSEN
+        else:
+            verdict = Verdict.INDETERMINATE
+        object.__setattr__(self, "verdict", verdict)
 
     def components(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.p_chosen, self.p_not_chosen, self.p_indeterminate)
@@ -154,12 +165,7 @@ def parse_triplet(values) -> Triplet:
 
 def classify(triplet: Triplet) -> Verdict:
     """Return the verdict of a valid triplet: its unique strict maximum."""
-    i, j, k = triplet.components()
-    if i > j and i > k:
-        return Verdict.CHOSEN
-    if j > i and j > k:
-        return Verdict.NOT_CHOSEN
-    return Verdict.INDETERMINATE
+    return triplet.verdict
 
 
 def classify_threshold(triplet: Triplet, threshold) -> ThresholdVerdict:

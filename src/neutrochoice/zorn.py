@@ -16,7 +16,7 @@ from enum import Enum
 from typing import Mapping
 
 from .errors import CompensationExhaustedError, NotAMemberError
-from .triplet import Verdict, classify, triplet_table
+from .triplet import Verdict, triplet_table
 from .triplet import make_triplet  # noqa: F401  bench/spans.py wraps zorn.make_triplet by name
 
 
@@ -222,7 +222,7 @@ def find_maximal(family: ZornFamily, fan_triplets: Mapping) -> MaximalReport:
     for base_index, fan in enumerate(fans):
         chosen_entries = [
             entry for entry in fan
-            if classify(table[(base_index, entry)]) is Verdict.CHOSEN
+            if table[(base_index, entry)].verdict is Verdict.CHOSEN
         ]
         for entry in chosen_entries:
             record = (-table[(base_index, entry)].p_chosen, base_index)

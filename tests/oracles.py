@@ -20,9 +20,12 @@ from neutrochoice import (
     MaximalReport,
     NeutroChoice,
     OutOfRangeError,
+    PathTrace,
     PreconditionViolatedError,
     Provenance,
     SetFamily,
+    Stage,
+    StepKind,
     SuccessorEntry,
     SumNotOneError,
     TieViolationError,
@@ -291,6 +294,8 @@ def zorn_compensation_feasible(family: ZornFamily, table: dict) -> bool:
 # the members after it, deferring members it cannot serve to a later pass.
 # They are slow (O(R*P) and worse than cubic) but plainly follow the
 # documented discipline, so the one-pass engines must reproduce them exactly.
+# The path search was first written with every stage's moves built as a full
+# list before the first is tried; the lazy search must yield the same trace.
 
 
 def _top(choice: NeutroChoice, index: int, elements):
@@ -444,6 +449,130 @@ def reference_find_maximal(family: ZornFamily, table: dict) -> MaximalReport:
                 address=f"member {pending[0]}",
             )
     return MaximalReport(maximal_indices=maximal, successors=successors)
+
+
+class _EagerPathSearch:
+    """Depth-first stage construction that lists each stage's moves in full."""
+
+    def __init__(self, tc: TreeChoice):
+        self.tc = tc
+        self.nodes = tc.tree.nodes
+        self.horizon = tc.tree.horizon
+        self.reach: dict[str, int] = {}
+        for node in sorted(self.nodes, key=len, reverse=True):
+            self.reach[node] = max(
+                [len(node)] + [self.reach[node + bit] for bit in "01" if node + bit in self.nodes]
+            )
+        self.by_level: dict[int, list[str]] = {}
+        for node in sorted(self.nodes):
+            self.by_level.setdefault(len(node), []).append(node)
+        self.max_level = max(self.by_level) if self.by_level else 0
+        self.marked: set[str] = set()
+        self.stages: list[Stage] = []
+
+    def is_chosen(self, node: str) -> bool:
+        return _argmax_verdict(self.tc.assignment[node]) == "chosen"
+
+    def pc(self, node: str):
+        return self.tc.assignment[node].p_chosen
+
+    def candidates(self, current):
+        if current is None:
+            return [""] if self.reach.get("") == self.horizon else []
+        return [
+            current + bit
+            for bit in "01"
+            if current + bit in self.nodes and self.reach[current + bit] == self.horizon
+        ]
+
+    def backward_compensators(self, current) -> list[str]:
+        if current is None:
+            return []
+        found: list[str] = []
+        for m in range(len(current) + 1):
+            witness = current[:m]
+            if not self.is_chosen(witness):
+                continue
+            beside = [
+                node
+                for node in self.by_level.get(m, ())
+                if node != witness
+                and node not in self.marked
+                and self.is_chosen(node)
+                and self.pc(node) < self.pc(witness)
+            ]
+            beside.sort(key=lambda n: (-self.pc(n), n))
+            found.extend(beside)
+        return found
+
+    def forward_moves(self, current, dead_level: int) -> list[tuple]:
+        moves: list[tuple] = []
+        seen: set[tuple] = set()
+        base = current if current is not None else ""
+        for m in range(dead_level + 1, self.max_level + 1):
+            extensions = [
+                node
+                for node in self.by_level.get(m, ())
+                if node != base and node.startswith(base) and self.is_chosen(node)
+            ]
+            for first, second in itertools.combinations(extensions, 2):
+                low, high = sorted((first, second), key=lambda n: (self.pc(n), n))
+                if low in self.marked:
+                    continue
+                if current is None:
+                    slot = ""
+                else:
+                    slot = high[:dead_level]
+                    if self.reach.get(slot) != self.horizon:
+                        continue
+                if (slot, low) not in seen:
+                    seen.add((slot, low))
+                    moves.append((slot, StepKind.COMP_FORWARD, low))
+        return moves
+
+    def moves(self, current) -> list[tuple]:
+        slots = self.candidates(current)
+        if not slots:
+            return []
+        chosen_slots = sorted(
+            (s for s in slots if self.is_chosen(s)), key=lambda n: (-self.pc(n), n)
+        )
+        if chosen_slots:
+            return [(s, StepKind.CHOSEN_MAX, None) for s in chosen_slots]
+        ordered_slots = sorted(slots, key=lambda n: (-self.pc(n), n))
+        moves = [
+            (slot, StepKind.COMP_BACKWARD, compensator)
+            for compensator in self.backward_compensators(current)
+            for slot in ordered_slots
+        ]
+        moves.extend(self.forward_moves(current, 0 if current is None else len(current) + 1))
+        return moves
+
+    def extend(self, current) -> bool:
+        if current is not None and len(current) == self.horizon:
+            return True
+        for slot, kind, compensator in self.moves(current):
+            self.stages.append(Stage(index=len(self.stages), node=slot, kind=kind, compensator=compensator))
+            if compensator is not None:
+                self.marked.add(compensator)
+            if self.extend(slot):
+                return True
+            if compensator is not None:
+                self.marked.discard(compensator)
+            self.stages.pop()
+        return False
+
+
+def reference_construct_path(tc: TreeChoice) -> PathTrace:
+    """The path trace of a search that builds every stage's move list eagerly.
+
+    Raises ``PreconditionViolatedError`` when no compensated path reaches the
+    horizon.  Expects a tree with a root.
+    """
+    search = _EagerPathSearch(tc)
+    if search.reach.get("", 0) < search.horizon or not search.extend(None):
+        raise PreconditionViolatedError("no compensated path reaches the horizon")
+    return PathTrace(stages=tuple(search.stages))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import copy
+import importlib.util
 import json
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -347,6 +351,55 @@ def test_non_object_rng_is_a_schema_error(tmp_path, capsys, command, flags):
     assert code == 2
     diag = payload["diagnostics"][0]
     assert (diag["type"], diag["address"]) == ("SchemaError", "rng")
+
+
+@pytest.mark.parametrize("command", ["partition", "generate-assignment"])
+def test_rng_bound_past_the_sampler_range_is_a_schema_error(tmp_path, capsys, command):
+    doc = {"kind": "family", "sets": [["a", "b"]], "rng": {"seed": 1, "denominator_bound": 2**70}}
+    code, payload = run(capsys, command, write_doc(tmp_path, "huge.json", doc))
+    assert code == 2
+    diag = payload["diagnostics"][0]
+    assert (diag["type"], diag["address"]) == ("SchemaError", "rng.denominator_bound")
+    # the largest bound the sampler can draw from still works
+    doc["rng"]["denominator_bound"] = sys.maxsize - 2
+    code, _ = run(capsys, command, write_doc(tmp_path, "edge.json", doc))
+    assert code == 0
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"[" * 100_000 + b"]" * 100_000, b"\xff\xfe{}"],
+    ids=["deeply-nested", "not-utf8"],
+)
+def test_unreadable_json_is_a_parse_error(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, payload = run(capsys, "classify", str(path))
+    assert code == 2
+    assert payload["diagnostics"][0]["type"] == "ParseError"
+
+
+def test_enumerate_paths_stops_at_an_unreachable_horizon(tmp_path, capsys):
+    path = write_doc(tmp_path, "tree.json", CHAIN_TREE)
+    started = time.perf_counter()
+    code, payload = run(capsys, "enumerate-paths", path, "--count", "1", "--horizon", "10000000")
+    assert time.perf_counter() - started < 0.5
+    assert code == 1
+    assert payload["diagnostics"][0]["type"] == "InsufficientBranching"
+
+
+def test_every_bench_span_hook_resolves():
+    # bench/spans.py wraps these attributes by name and fails on a missing one
+    spans_path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", spans_path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [
+        (module, attr)
+        for module, attr, _name, _leaf in spans.POINTS
+        if not hasattr(importlib.import_module(f"neutrochoice.{module}"), attr)
+    ]
+    assert spans.POINTS and missing == []
 
 
 @pytest.mark.parametrize("triplet", [[["1/2"], "1/3", "1/6"], [1, 2, 3]], ids=["nested-list", "integers"])

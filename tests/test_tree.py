@@ -30,7 +30,13 @@ from neutrochoice import (
     string_relation,
     verify_trace,
 )
-from oracles import oracle_valid_final_paths, sample_tree_choice, split_pool, triplet_pool
+from oracles import (
+    oracle_valid_final_paths,
+    reference_construct_path,
+    sample_tree_choice,
+    split_pool,
+    triplet_pool,
+)
 
 CHOSEN_HI = ("6/10", "3/10", "1/10")
 CHOSEN_LO = ("5/10", "3/10", "2/10")
@@ -359,6 +365,28 @@ def test_construct_path_agrees_with_oracle_smoke():
         else:
             assert trace.final_path in valid
             assert verify_trace(tc, trace)
+
+
+@pytest.mark.parametrize("max_horizon", [4, 5])
+def test_construct_path_matches_the_eager_reference(max_horizon):
+    rng = random.Random(6060 + max_horizon)
+    groups = split_pool(triplet_pool(6))
+    outcomes = {"traced": 0, "dead_level": 0, "precondition": 0}
+    for _ in range(300):
+        tc = sample_tree_choice(rng, groups, max_horizon=max_horizon)
+        try:
+            expected = reference_construct_path(tc)
+        except PreconditionViolatedError:
+            with pytest.raises(PreconditionViolatedError):
+                construct_path(tc)
+            outcomes["precondition"] += 1
+            continue
+        trace = construct_path(tc)
+        assert trace == expected
+        assert verify_trace(tc, trace)
+        outcomes["traced"] += 1
+        outcomes["dead_level"] += bool(dead_levels(tc))
+    assert min(outcomes.values()) > 0, outcomes
 
 
 def test_enumerate_paths_full_tree():

@@ -23,7 +23,7 @@ from neutrochoice import (
     random_triplet,
 )
 from neutrochoice.triplet import triplet_table
-from oracles import reference_triplet_error, triplet_pool
+from oracles import _argmax_verdict, reference_triplet_error, triplet_pool
 
 unit_range_fractions = st.builds(
     Fraction, st.integers(min_value=-3, max_value=14), st.integers(min_value=1, max_value=12)
@@ -92,7 +92,9 @@ def test_triplet_checks_match_fraction_arithmetic(i, j, k):
         k = 1 - i - j
     expected = reference_triplet_error(i, j, k)
     if expected is None:
-        assert Triplet(i, j, k).components() == (i, j, k)
+        triplet = Triplet(i, j, k)
+        assert triplet.components() == (i, j, k)
+        assert triplet.verdict.value == _argmax_verdict(triplet)
         return
     error, message, address = expected
     with pytest.raises(error) as info:
