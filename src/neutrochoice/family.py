@@ -46,9 +46,6 @@ class SetFamily:
     def __len__(self) -> int:
         return len(self.sets)
 
-    def positions(self, index: int) -> dict[Element, int]:
-        return {element: pos for pos, element in enumerate(self.sets[index])}
-
 
 @dataclass(frozen=True)
 class NeutroChoice:
@@ -163,9 +160,9 @@ def _chosen_parts(choice: NeutroChoice) -> list[Partition]:
 
 def _top(choice: NeutroChoice, index: int, elements) -> Element:
     """The element of set ``index`` among ``elements`` with the greatest
-    choice probability, ties by canonical order."""
-    pos = choice.family.positions(index)
-    return max(elements, key=lambda e: (choice.triplet(index, e).p_chosen, -pos[e]))
+    choice probability.  ``elements`` must be in canonical order: ``max``
+    keeps the first of equals, so ties fall to canonical order."""
+    return max(elements, key=lambda e: choice.triplet(index, e).p_chosen)
 
 
 def _capacity(parts: list[Partition]) -> CompensationReport:
@@ -208,23 +205,19 @@ def allocate_compensators(choice: NeutroChoice) -> CompensationPlan:
         )
     family = choice.family
     marks: list[tuple[int, Element]] = []
-    # pool entries: (-choice probability, donor index, canonical position, element)
-    pool: list[tuple] = []
+    # (donor index, element), built in donor order and then canonical order
+    pool: list[tuple[int, Element]] = []
     for donor, part in enumerate(parts):
         if len(part.chosen) < 2:
             continue
         top = _top(choice, donor, part.chosen)
         marks.append((donor, top))
-        pos = family.positions(donor)
-        for element in part.chosen:
-            if element != top:
-                pool.append(
-                    (-choice.triplet(donor, element).p_chosen, donor, pos[element], element)
-                )
-    pool.sort(key=lambda entry: entry[:3])
+        pool.extend((donor, element) for element in part.chosen if element != top)
+    # a stable sort keeps donor and canonical order among equal probabilities
+    pool.sort(key=lambda entry: choice.triplet(*entry).p_chosen, reverse=True)
     recipients = [index for index, part in enumerate(parts) if not part.chosen]
     pairs: list[CompensationPair] = []
-    for recipient, (_, donor, _, compensator) in zip(recipients, pool):
+    for recipient, (donor, compensator) in zip(recipients, pool):
         marks.append((donor, compensator))
         pairs.append(
             CompensationPair(

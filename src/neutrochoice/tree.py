@@ -64,7 +64,8 @@ class Tree:
     horizon: int
 
     def levels(self) -> dict[int, list[str]]:
-        """Nodes grouped by level, each group sorted lexicographically."""
+        """Nodes grouped by level in ascending level order, each group
+        sorted lexicographically."""
         grouped: dict[int, list[str]] = {}
         for node in sorted(self.nodes, key=lambda n: (len(n), n)):
             grouped.setdefault(len(node), []).append(node)
@@ -167,7 +168,7 @@ def forward_tracking(tree: Tree, node: str) -> set[str]:
 def dead_levels(tc: TreeChoice) -> list[int]:
     """Levels that contain nodes but no chosen node, ascending."""
     dead = []
-    for lvl, nodes in sorted(tc.tree.levels().items()):
+    for lvl, nodes in tc.tree.levels().items():
         if not any(tc.assignment[n].verdict is Verdict.CHOSEN for n in nodes):
             dead.append(lvl)
     return dead
@@ -183,17 +184,6 @@ def extension_depth(tree: Tree, node: str) -> int:
     return deepest
 
 
-def _reach_depths(tree: Tree) -> dict[str, int]:
-    """Greatest reachable level per node, computed bottom-up."""
-    reach: dict[str, int] = {}
-    for node in sorted(tree.nodes, key=len, reverse=True):
-        reach[node] = max(
-            [len(node)]
-            + [reach[node + bit] for bit in "01" if node + bit in tree.nodes]
-        )
-    return reach
-
-
 class _PathSearch:
     """Per-tree index (reach depths, levels, verdicts) and the depth-first
     stage construction over it, with compensator marking."""
@@ -201,8 +191,14 @@ class _PathSearch:
     def __init__(self, tc: TreeChoice):
         self.tc = tc
         self.horizon = tc.tree.horizon
-        self.reach = _reach_depths(tc.tree)
         self.by_level = tc.tree.levels()
+        # greatest reachable level per node, filled bottom-up
+        self.reach: dict[str, int] = {}
+        for level, nodes in reversed(self.by_level.items()):
+            for node in nodes:
+                self.reach[node] = max(
+                    level, self.reach.get(node + "0", 0), self.reach.get(node + "1", 0)
+                )
         self.max_level = max(self.by_level) if self.by_level else 0
         self.marked: set[str] = set()
         self.stages: list[Stage] = []
@@ -247,7 +243,7 @@ class _PathSearch:
                 and self.is_chosen(node)
                 and self.pc(node) < bar
             ]
-            beside.sort(key=lambda n: (-self.pc(n), n))
+            beside.sort(key=self.pc, reverse=True)
             yield from beside
 
     def forward_moves(self, current: str | None, dead_level: int) -> Iterator[tuple]:
@@ -267,7 +263,8 @@ class _PathSearch:
                 if node != base and node.startswith(base) and self.is_chosen(node)
             ]
             for first, second in itertools.combinations(extensions, 2):
-                low, high = sorted((first, second), key=lambda n: (self.pc(n), n))
+                # first < second, so a tie leaves first as the lower member
+                low, high = (second, first) if self.pc(second) < self.pc(first) else (first, second)
                 if low in self.marked:
                     continue
                 if current is None:
@@ -288,7 +285,7 @@ class _PathSearch:
         ``extend`` restores ``marked`` before it pulls the next move, so a
         move generated late sees the same marks as one generated first.
         """
-        slots = sorted(self.candidates(current), key=lambda n: (-self.pc(n), n))
+        slots = sorted(self.candidates(current), key=self.pc, reverse=True)
         if not slots:
             return
         chosen_slots = [s for s in slots if self.is_chosen(s)]
@@ -356,7 +353,7 @@ def enumerate_paths(tc: TreeChoice, count: int) -> list[PathTrace]:
     if not tc.tree.nodes or ROOT not in tc.tree.nodes:
         raise EmptyTreeError("the tree has no root")
     search = _PathSearch(tc)
-    frontier = search.candidates(None)
+    frontier = [node for node in search.candidates(None) if search.is_chosen(node)]
     level = 0
     # children of a sorted level, taken in order, are again sorted
     while frontier and level < search.horizon:

@@ -229,10 +229,8 @@ def find_maximal(family: ZornFamily, fan_triplets: Mapping) -> MaximalReport:
             if entry not in best or record < best[entry]:
                 best[entry] = record
         if chosen_entries:
-            top = max(
-                chosen_entries,
-                key=lambda entry: (table[(base_index, entry)].p_chosen, -entry),
-            )
+            # fan entries ascend, and max keeps the first of equals
+            top = max(chosen_entries, key=lambda entry: table[(base_index, entry)].p_chosen)
             marked.add(top)
             successors[base_index] = SuccessorEntry(
                 successor_index=top, provenance=Provenance.DIRECT

@@ -365,6 +365,12 @@ def test_construct_path_agrees_with_oracle_smoke():
         else:
             assert trace.final_path in valid
             assert verify_trace(tc, trace)
+        try:
+            listed = enumerate_paths(tc, 1)
+        except InsufficientBranchingError:
+            continue
+        assert listed[0].final_path in valid
+        assert verify_trace(tc, listed[0])
 
 
 @pytest.mark.parametrize("max_horizon", [4, 5])
@@ -414,3 +420,10 @@ def test_enumerate_paths_rejects_excess_count():
     tc = build_tree_choice(tree, {"": CHOSEN_HI, "1": CHOSEN_HI, "11": CHOSEN_LO})
     with pytest.raises(InsufficientBranchingError):
         enumerate_paths(tc, 2)
+
+
+def test_enumerate_paths_rejects_an_unchosen_root():
+    tree = build_tree(["00", "01", "10", "11"], 2)
+    tc = build_tree_choice(tree, {n: NOT_CHOSEN if n == "" else CHOSEN_HI for n in tree.nodes})
+    with pytest.raises(InsufficientBranchingError):
+        enumerate_paths(tc, 1)
