@@ -48,11 +48,6 @@ def load_document(path: str) -> dict:
     return doc
 
 
-def _schema(condition: bool, message: str, address: str | None = None) -> None:
-    if not condition:
-        raise SchemaError(message, address=address)
-
-
 def _reader() -> Callable[[Any], Triplet]:
     """Return a ``parse_triplet`` that parses each distinct triplet once.
 
@@ -76,13 +71,16 @@ def _reader() -> Callable[[Any], Triplet]:
     return read
 
 
-def _canonical_triplet(raw: Any, address: str, read: Callable[[Any], Triplet]) -> list[str]:
-    _schema(isinstance(raw, list) and len(raw) == 3, "triplet must be a 3-item list", address)
-    _schema(all(isinstance(v, str) for v in raw), "triplet components must be 'num/den' strings", address)
+def _canonical_triplet(raw: Any, where: Callable[[], str], read: Callable[[Any], Triplet]) -> list[str]:
+    """Canonical strings of one triplet entry; ``where()`` names it, on failure only."""
+    if not (isinstance(raw, list) and len(raw) == 3):
+        raise SchemaError("triplet must be a 3-item list", address=where())
+    if not all(isinstance(v, str) for v in raw):
+        raise SchemaError("triplet components must be 'num/den' strings", address=where())
     try:
         return read(raw).serialize()
     except (NeutroChoiceError, ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"invalid triplet at {address}: {exc}", address=address) from exc
+        raise SchemaError(f"invalid triplet at {where()}: {exc}", address=where()) from exc
 
 
 def _is_int(value: Any) -> bool:
@@ -91,54 +89,53 @@ def _is_int(value: Any) -> bool:
 
 
 def _validate_rng(raw: Any) -> dict:
-    _schema(isinstance(raw, dict), "rng must be an object", "rng")
-    _schema(_is_int(raw.get("seed")), "rng.seed must be an integer", "rng.seed")
+    if not isinstance(raw, dict):
+        raise SchemaError("rng must be an object", address="rng")
+    if not _is_int(raw.get("seed")):
+        raise SchemaError("rng.seed must be an integer", address="rng.seed")
     bound = raw.get("denominator_bound")
-    _schema(_is_int(bound), "rng.denominator_bound must be an integer", "rng.denominator_bound")
+    if not _is_int(bound):
+        raise SchemaError("rng.denominator_bound must be an integer", address="rng.denominator_bound")
     # the sampler draws from range(bound + 2), whose length must fit a C ssize_t
-    _schema(
-        bound + 2 <= sys.maxsize,
-        f"rng.denominator_bound must be at most {sys.maxsize - 2}",
-        "rng.denominator_bound",
-    )
+    if bound + 2 > sys.maxsize:
+        raise SchemaError(f"rng.denominator_bound must be at most {sys.maxsize - 2}", address="rng.denominator_bound")
     return {"seed": raw["seed"], "denominator_bound": bound}
 
 
 def _validate_family(doc: dict) -> dict:
     sets = doc.get("sets")
-    _schema(isinstance(sets, list) and sets, "family document needs a non-empty 'sets' list", "sets")
+    if not (isinstance(sets, list) and sets):
+        raise SchemaError("family document needs a non-empty 'sets' list", address="sets")
     out_sets = []
     for i, raw_set in enumerate(sets):
-        _schema(isinstance(raw_set, list) and raw_set, f"set {i} must be a non-empty list", f"sets[{i}]")
-        _schema(all(isinstance(e, str) for e in raw_set), f"set {i} elements must be strings", f"sets[{i}]")
-        _schema(len(set(raw_set)) == len(raw_set), f"set {i} lists a duplicate element", f"sets[{i}]")
+        if not (isinstance(raw_set, list) and raw_set):
+            raise SchemaError(f"set {i} must be a non-empty list", address=f"sets[{i}]")
+        if not all(isinstance(e, str) for e in raw_set):
+            raise SchemaError(f"set {i} elements must be strings", address=f"sets[{i}]")
+        if len(set(raw_set)) != len(raw_set):
+            raise SchemaError(f"set {i} lists a duplicate element", address=f"sets[{i}]")
         out_sets.append(list(raw_set))
     out: dict = {"kind": "family", "sets": out_sets}
     if "assignment" in doc:
         assignment = doc["assignment"]
-        _schema(
-            isinstance(assignment, list) and len(assignment) == len(out_sets),
-            "assignment must list one object per set",
-            "assignment",
-        )
+        if not (isinstance(assignment, list) and len(assignment) == len(out_sets)):
+            raise SchemaError("assignment must list one object per set", address="assignment")
         out_assignment = []
         read = _reader()
         for i, (raw_set, table) in enumerate(zip(out_sets, assignment)):
-            _schema(isinstance(table, dict), f"assignment[{i}] must be an object", f"assignment[{i}]")
+            if not isinstance(table, dict):
+                raise SchemaError(f"assignment[{i}] must be an object", address=f"assignment[{i}]")
             for element in raw_set:
-                _schema(
-                    element in table,
-                    f"assignment[{i}] is missing element {element!r}",
-                    f"assignment[{i}][{element!r}]",
-                )
-            _schema(
-                set(table) == set(raw_set),
-                f"assignment[{i}] names elements outside set {i}",
-                f"assignment[{i}]",
-            )
+                if element not in table:
+                    raise SchemaError(
+                        f"assignment[{i}] is missing element {element!r}", address=f"assignment[{i}][{element!r}]"
+                    )
+            # every element is in the table and the elements are distinct, so only extras add length
+            if len(table) != len(raw_set):
+                raise SchemaError(f"assignment[{i}] names elements outside set {i}", address=f"assignment[{i}]")
             out_assignment.append(
                 {
-                    element: _canonical_triplet(table[element], f"assignment[{i}][{element!r}]", read)
+                    element: _canonical_triplet(table[element], lambda: f"assignment[{i}][{element!r}]", read)
                     for element in raw_set
                 }
             )
@@ -149,79 +146,82 @@ def _validate_family(doc: dict) -> dict:
 def _validate_tree(doc: dict) -> dict:
     strings = doc.get("strings")
     horizon = doc.get("horizon")
-    _schema(isinstance(strings, list), "tree document needs a 'strings' list", "strings")
-    _schema(
-        _is_int(horizon) and horizon >= 1,
-        "horizon must be a positive integer",
-        "horizon",
-    )
+    if not isinstance(strings, list):
+        raise SchemaError("tree document needs a 'strings' list", address="strings")
+    if not (_is_int(horizon) and horizon >= 1):
+        raise SchemaError("horizon must be a positive integer", address="horizon")
     for i, s in enumerate(strings):
-        _schema(isinstance(s, str) and all(b in "01" for b in s), f"strings[{i}] must be a binary string", f"strings[{i}]")
-        _schema(len(s) <= horizon, f"strings[{i}] is longer than the horizon", f"strings[{i}]")
+        if not isinstance(s, str) or s.strip("01"):
+            raise SchemaError(f"strings[{i}] must be a binary string", address=f"strings[{i}]")
+        if len(s) > horizon:
+            raise SchemaError(f"strings[{i}] is longer than the horizon", address=f"strings[{i}]")
     closure = sorted(
         tree_mod.build_tree(strings, horizon).nodes, key=lambda n: (len(n), n)
     )
     out: dict = {"kind": "tree", "strings": closure, "horizon": horizon}
     if "assignment" in doc:
         table = doc["assignment"]
-        _schema(isinstance(table, dict), "assignment must be an object", "assignment")
+        if not isinstance(table, dict):
+            raise SchemaError("assignment must be an object", address="assignment")
         for node in closure:
-            _schema(node in table, f"assignment is missing node {node!r}", f"assignment[{node!r}]")
-        _schema(set(table) == set(closure), "assignment names nodes outside the tree", "assignment")
+            if node not in table:
+                raise SchemaError(f"assignment is missing node {node!r}", address=f"assignment[{node!r}]")
+        if len(table) != len(closure):
+            raise SchemaError("assignment names nodes outside the tree", address="assignment")
         read = _reader()
         out["assignment"] = {
-            node: _canonical_triplet(table[node], f"assignment[{node!r}]", read) for node in closure
+            node: _canonical_triplet(table[node], lambda: f"assignment[{node!r}]", read) for node in closure
         }
     return out
 
 
 def _validate_zorn(doc: dict) -> dict:
     members = doc.get("members")
-    _schema(isinstance(members, list) and members, "zorn document needs a non-empty 'members' list", "members")
+    if not (isinstance(members, list) and members):
+        raise SchemaError("zorn document needs a non-empty 'members' list", address="members")
     out_members = []
     for i, raw in enumerate(members):
-        _schema(isinstance(raw, list), f"members[{i}] must be a list", f"members[{i}]")
-        _schema(all(isinstance(e, str) for e in raw), f"members[{i}] elements must be strings", f"members[{i}]")
-        _schema(len(set(raw)) == len(raw), f"members[{i}] lists a duplicate element", f"members[{i}]")
+        if not isinstance(raw, list):
+            raise SchemaError(f"members[{i}] must be a list", address=f"members[{i}]")
+        if not all(isinstance(e, str) for e in raw):
+            raise SchemaError(f"members[{i}] elements must be strings", address=f"members[{i}]")
+        if len(set(raw)) != len(raw):
+            raise SchemaError(f"members[{i}] lists a duplicate element", address=f"members[{i}]")
         out_members.append(sorted(raw))
-    _schema(
-        len({frozenset(m) for m in out_members}) == len(out_members),
-        "members must be distinct as sets",
-        "members",
-    )
+    if len({frozenset(m) for m in out_members}) != len(out_members):
+        raise SchemaError("members must be distinct as sets", address="members")
     out: dict = {"kind": "zorn", "members": out_members}
     family = zorn_family(out)
     pairs = zorn_mod.fan_pairs(family)
     pair_set = set(pairs)
     if "fan_triplets" in doc:
         raw_table = doc["fan_triplets"]
-        _schema(isinstance(raw_table, list), "fan_triplets must be a list", "fan_triplets")
+        if not isinstance(raw_table, list):
+            raise SchemaError("fan_triplets must be a list", address="fan_triplets")
         seen: dict[tuple[int, int], list[str]] = {}
         read = _reader()
         for i, record in enumerate(raw_table):
-            _schema(isinstance(record, dict), f"fan_triplets[{i}] must be an object", f"fan_triplets[{i}]")
-            member = record.get("member")
-            entry = record.get("entry")
-            _schema(
-                _is_int(member) and _is_int(entry),
-                f"fan_triplets[{i}] needs integer 'member' and 'entry' indices",
-                f"fan_triplets[{i}]",
-            )
-            _schema(
-                (member, entry) in pair_set,
-                f"fan_triplets[{i}]: member {entry} is not a strict superset of member {member}",
-                f"fan_triplets[{i}]",
-            )
-            _schema((member, entry) not in seen, f"fan_triplets[{i}] duplicates a pair", f"fan_triplets[{i}]")
-            seen[(member, entry)] = _canonical_triplet(
-                record.get("triplet"), f"fan_triplets[{i}].triplet", read
-            )
-        for pair in pairs:
-            _schema(
-                pair in seen,
-                f"fan_triplets is missing the pair (member {pair[0]}, entry {pair[1]})",
-                f"fan_triplets({pair[0]},{pair[1]})",
-            )
+            if not isinstance(record, dict):
+                raise SchemaError(f"fan_triplets[{i}] must be an object", address=f"fan_triplets[{i}]")
+            member, entry = record.get("member"), record.get("entry")
+            if not (_is_int(member) and _is_int(entry)):
+                raise SchemaError(
+                    f"fan_triplets[{i}] needs integer 'member' and 'entry' indices", address=f"fan_triplets[{i}]"
+                )
+            if (member, entry) not in pair_set:
+                raise SchemaError(
+                    f"fan_triplets[{i}]: member {entry} is not a strict superset of member {member}",
+                    address=f"fan_triplets[{i}]",
+                )
+            if (member, entry) in seen:
+                raise SchemaError(f"fan_triplets[{i}] duplicates a pair", address=f"fan_triplets[{i}]")
+            seen[(member, entry)] = _canonical_triplet(record.get("triplet"), lambda: f"fan_triplets[{i}].triplet", read)
+        for member, entry in pairs:
+            if (member, entry) not in seen:
+                raise SchemaError(
+                    f"fan_triplets is missing the pair (member {member}, entry {entry})",
+                    address=f"fan_triplets({member},{entry})",
+                )
         out["fan_triplets"] = [
             {"member": member, "entry": entry, "triplet": seen[(member, entry)]}
             for member, entry in pairs
@@ -238,15 +238,12 @@ def validate_document(doc: dict) -> dict:
     present.
     """
     kind = doc.get("kind")
-    _schema(kind in KINDS, f"kind must be one of {list(KINDS)}", "kind")
+    if kind not in KINDS:
+        raise SchemaError(f"kind must be one of {list(KINDS)}", address="kind")
     table_key = "fan_triplets" if kind == "zorn" else "assignment"
-    has_table = table_key in doc
     has_rng = "rng" in doc
-    _schema(
-        has_table != has_rng,
-        f"exactly one of '{table_key}' or 'rng' must be present",
-        table_key,
-    )
+    if (table_key in doc) == has_rng:
+        raise SchemaError(f"exactly one of '{table_key}' or 'rng' must be present", address=table_key)
     if kind == "family":
         out = _validate_family(doc)
     elif kind == "tree":
@@ -266,7 +263,8 @@ def generate_assignment(doc: dict) -> dict:
     fully determines the output document.
     """
     doc = validate_document(doc)
-    _schema("rng" in doc, "document has no rng block to generate from", "rng")
+    if "rng" not in doc:
+        raise SchemaError("document has no rng block to generate from", address="rng")
     rng = random.Random(doc["rng"]["seed"])
     denominator_bound = doc["rng"]["denominator_bound"]
 
@@ -341,32 +339,30 @@ def report_to_json(report: MaximalReport) -> dict:
 
 
 def report_from_json(raw: Any) -> MaximalReport:
-    _schema(isinstance(raw, dict), "report must be an object", "report")
+    if not isinstance(raw, dict):
+        raise SchemaError("report must be an object", address="report")
     maximal = raw.get("maximal")
     successors = raw.get("successors")
-    _schema(
-        isinstance(maximal, list) and all(_is_int(i) for i in maximal),
-        "report.maximal must list member indices",
-        "report.maximal",
-    )
-    _schema(isinstance(successors, list), "report.successors must be a list", "report.successors")
+    if not (isinstance(maximal, list) and all(_is_int(i) for i in maximal)):
+        raise SchemaError("report.maximal must list member indices", address="report.maximal")
+    if not isinstance(successors, list):
+        raise SchemaError("report.successors must be a list", address="report.successors")
     entries: dict[int, SuccessorEntry] = {}
     for i, record in enumerate(successors):
-        _schema(isinstance(record, dict), f"successors[{i}] must be an object", f"report.successors[{i}]")
+        if not isinstance(record, dict):
+            raise SchemaError(f"successors[{i}] must be an object", address=f"report.successors[{i}]")
         member = record.get("member")
         successor = record.get("successor")
         provenance = record.get("provenance")
-        _schema(
-            _is_int(member) and _is_int(successor),
-            f"successors[{i}] needs integer 'member' and 'successor'",
-            f"report.successors[{i}]",
-        )
-        _schema(
-            provenance in ("direct", "compensated"),
-            f"successors[{i}].provenance must be 'direct' or 'compensated'",
-            f"report.successors[{i}].provenance",
-        )
-        _schema(member not in entries, f"successors[{i}] duplicates member {member}", f"report.successors[{i}]")
+        if not (_is_int(member) and _is_int(successor)):
+            raise SchemaError(f"successors[{i}] needs integer 'member' and 'successor'", address=f"report.successors[{i}]")
+        if provenance not in ("direct", "compensated"):
+            raise SchemaError(
+                f"successors[{i}].provenance must be 'direct' or 'compensated'",
+                address=f"report.successors[{i}].provenance",
+            )
+        if member in entries:
+            raise SchemaError(f"successors[{i}] duplicates member {member}", address=f"report.successors[{i}]")
         entries[member] = SuccessorEntry(
             successor_index=successor, provenance=Provenance(provenance)
         )

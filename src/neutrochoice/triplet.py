@@ -48,6 +48,8 @@ def as_rational(value) -> Fraction:
     if isinstance(value, float):
         raise TypeError("floats are not accepted; use Fraction, int, or 'num/den' strings")
     if isinstance(value, str):
+        if "e" in value or "E" in value:  # Fraction("1e-999999") computes 10**999999
+            raise ValueError("exponent notation is not accepted; use a 'num/den' string")
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a rational")
 

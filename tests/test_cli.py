@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import ast
 import contextlib
 import copy
@@ -452,6 +453,26 @@ def test_no_unused_import_or_orphaned_private_helper_in_src():
     assert unused_imports == [] and orphans == []
 
 
+def test_error_text_is_formatted_only_where_it_is_used():
+    # an f-string outside a raise, a return or a lambda is text built on the success path too
+    package = Path(__file__).resolve().parents[1] / "src" / "neutrochoice"
+    eager = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        lazy = {
+            id(sub)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Raise, ast.Return, ast.Lambda))
+            for sub in ast.walk(node)
+        }
+        eager += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.JoinedStr) and id(node) not in lazy
+        ]
+    assert eager == []
+
+
 @pytest.mark.parametrize("triplet", [[["1/2"], "1/3", "1/6"], [1, 2, 3]], ids=["nested-list", "integers"])
 def test_non_string_triplet_components_are_schema_errors(tmp_path, capsys, triplet):
     doc = {"kind": "family", "sets": [["a", "b"]], "assignment": [{"a": triplet, "b": triplet}]}
@@ -583,22 +604,115 @@ def test_fuzzed_cli_runs_end_in_one_json_object(tmp_path_factory, data):
     assert isinstance(json.loads(out.getvalue()), dict)
 
 
+DEEP = 1500
+#: A horizon-1500 chain whose every node is chosen: one path, 1,501 stages.
+DEEP_CHAIN = {
+    "kind": "tree",
+    "strings": ["1" * DEEP],
+    "horizon": DEEP,
+    "assignment": {"1" * level: ["6/10", "3/10", "1/10"] for level in range(DEEP + 1)},
+}
+
+
 @pytest.mark.xfail(
     strict=True,
     raises=RecursionError,
     reason="_PathSearch.extend recurses once per level; see ROADMAP 'Fix first', deep-horizon RecursionError",
 )
 def test_find_path_on_a_horizon_1500_chain(tmp_path, capsys):
-    horizon = 1500
-    chain = {
-        "kind": "tree",
-        "strings": ["1" * horizon],
-        "horizon": horizon,
-        "assignment": {"1" * level: ["6/10", "3/10", "1/10"] for level in range(horizon + 1)},
-    }
-    path = write_doc(tmp_path, "chain.json", chain)
+    horizon = DEEP
+    path = write_doc(tmp_path, "chain.json", DEEP_CHAIN)
     code, payload = run(capsys, "find-path", path)
     assert code == 0
     trace = payload["outputs"]["trace"]
     assert trace["final_path"] == "1" * horizon
     assert [s["kind"] for s in trace["stages"]] == ["chosen_max"] * (horizon + 1)
+
+
+def test_enumerate_paths_and_classify_on_a_horizon_1500_chain(tmp_path, capsys):
+    path = write_doc(tmp_path, "chain.json", DEEP_CHAIN)
+    code, payload = run(capsys, "enumerate-paths", path, "--count", "1")
+    assert code == 0
+    (trace,) = payload["outputs"]["traces"]
+    assert trace["final_path"] == "1" * DEEP
+    assert [s["kind"] for s in trace["stages"]] == ["chosen_max"] * (DEEP + 1)
+
+    code, payload = run(capsys, "enumerate-paths", path, "--count", "2")
+    assert code == 1
+    assert payload["diagnostics"][0]["type"] == "InsufficientBranching"
+
+    code, payload = run(capsys, "classify", path)
+    assert code == 0
+    assert set(payload["outputs"]["verdicts"].values()) == {"chosen"}
+
+
+@pytest.mark.parametrize(
+    "doc, flags, address, message",
+    [
+        (
+            {**PAPER_FAMILY, "sets": [["a"]], "assignment": [{"a": ["1e-3000000", "7/10", "3/10"]}]},
+            (),
+            "assignment[0]['a']",
+            "invalid triplet at assignment[0]['a']: exponent notation is not accepted; use a 'num/den' string",
+        ),
+        (
+            PAPER_FAMILY,
+            ("--threshold=1e-3000000",),
+            "threshold",
+            "invalid threshold '1e-3000000': exponent notation is not accepted; use a 'num/den' string",
+        ),
+    ],
+    ids=["triplet", "threshold"],
+)
+def test_exponent_notation_is_rejected_quickly(tmp_path, capsys, doc, flags, address, message):
+    path = write_doc(tmp_path, "exponent.json", doc)
+    started = time.perf_counter()
+    code, payload = run(capsys, "classify", path, *flags)
+    assert time.perf_counter() - started < 0.5
+    assert code == 2
+    assert payload["diagnostics"] == [{"type": "SchemaError", "message": message, "address": address}]
+
+
+def test_main_builds_no_parser_per_call(tmp_path, capsys, monkeypatch):
+    path = write_doc(tmp_path, "family.json", PAPER_FAMILY)
+    constructed = []
+    original = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        constructed.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for command in ("partition", "classify", "allocate", "partition"):
+        assert run(capsys, command, path)[0] == 0
+    assert constructed == []
+
+
+def test_each_command_keeps_its_own_flags_and_help(tmp_path, capsys):
+    path = write_doc(tmp_path, "family.json", PAPER_FAMILY)
+    with pytest.raises(SystemExit) as info:
+        main(["partition", path, "--count", "1"])
+    assert info.value.code == 2
+    assert "--count" in capsys.readouterr().err
+
+    helps = {}
+    for command in ("enumerate-paths", "partition"):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        helps[command] = capsys.readouterr().out
+    assert "--count" in helps["enumerate-paths"] and "--horizon" in helps["enumerate-paths"]
+    assert "--count" not in helps["partition"] and "--horizon" not in helps["partition"]
+
+
+def test_earlier_calls_leave_no_trace_in_a_later_run(tmp_path, capsys):
+    path = write_doc(tmp_path, "family.json", PAPER_FAMILY)
+    tree_path = write_doc(tmp_path, "tree.json", CHAIN_TREE)
+    assert main(["partition", path]) == 0
+    first = capsys.readouterr().out
+    assert main(["enumerate-paths", tree_path, "--count", "2"]) == 1
+    with pytest.raises(SystemExit):
+        main(["partition", "--help"])
+    capsys.readouterr()
+    assert main(["partition", path]) == 0
+    assert capsys.readouterr().out == first

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from neutrochoice.documents import (
     family_choice,
     generate_assignment,
     load_document,
+    report_from_json,
     tree_choice,
     validate_document,
     zorn_inputs,
@@ -313,3 +315,249 @@ def test_builders_do_not_reuse_a_triplet_for_an_equal_float():
     doc = {"sets": [["a", "b"]], "assignment": [{"a": half, "b": [0.5, *half[1:]]}]}
     with pytest.raises(TypeError):
         family_choice(doc)
+
+
+def edited(doc: dict, **changes) -> dict:
+    """A deep copy of ``doc`` with top-level keys replaced (``None`` deletes)."""
+    out = json.loads(json.dumps(doc))
+    for key, value in changes.items():
+        if value is None:
+            out.pop(key, None)
+        else:
+            out[key] = value
+    return out
+
+
+GOOD = ["6/10", "3/10", "1/10"]
+ONE_SET = {"kind": "family", "sets": [["a"]]}
+REPORT = {"maximal": [2], "successors": []}
+
+# One malformed input per schema check: (function, input, (message, address)).
+SCHEMA_ERRORS = {
+    "kind": (validate_document, {"kind": "nope"}, ("kind must be one of ['family', 'tree', 'zorn']", "kind")),
+    "table-or-rng": (
+        validate_document,
+        edited(ZORN_DOC, fan_triplets=None),
+        ("exactly one of 'fan_triplets' or 'rng' must be present", "fan_triplets"),
+    ),
+    "rng-object": (validate_document, {**ONE_SET, "rng": 5}, ("rng must be an object", "rng")),
+    "rng-seed": (
+        validate_document,
+        {**ONE_SET, "rng": {"seed": True, "denominator_bound": 10}},
+        ("rng.seed must be an integer", "rng.seed"),
+    ),
+    "rng-bound": (
+        validate_document,
+        {**ONE_SET, "rng": {"seed": 1, "denominator_bound": "10"}},
+        ("rng.denominator_bound must be an integer", "rng.denominator_bound"),
+    ),
+    "rng-bound-range": (
+        validate_document,
+        {**ONE_SET, "rng": {"seed": 1, "denominator_bound": 2**70}},
+        (f"rng.denominator_bound must be at most {sys.maxsize - 2}", "rng.denominator_bound"),
+    ),
+    "family-sets": (
+        validate_document,
+        edited(FAMILY_DOC, sets=[]),
+        ("family document needs a non-empty 'sets' list", "sets"),
+    ),
+    "family-set-empty": (
+        validate_document,
+        edited(FAMILY_DOC, sets=[["1", "2"], []]),
+        ("set 1 must be a non-empty list", "sets[1]"),
+    ),
+    "family-set-element": (
+        validate_document,
+        edited(FAMILY_DOC, sets=[["1", "2"], ["a", 1]]),
+        ("set 1 elements must be strings", "sets[1]"),
+    ),
+    "family-set-duplicate": (
+        validate_document,
+        edited(FAMILY_DOC, sets=[["1", "2"], ["a", "a"]]),
+        ("set 1 lists a duplicate element", "sets[1]"),
+    ),
+    "family-assignment-length": (
+        validate_document,
+        edited(FAMILY_DOC, assignment=FAMILY_DOC["assignment"][:1]),
+        ("assignment must list one object per set", "assignment"),
+    ),
+    "family-assignment-object": (
+        validate_document,
+        edited(FAMILY_DOC, assignment=[FAMILY_DOC["assignment"][0], 5]),
+        ("assignment[1] must be an object", "assignment[1]"),
+    ),
+    "family-assignment-missing": (
+        validate_document,
+        edited(FAMILY_DOC, assignment=[FAMILY_DOC["assignment"][0], {"a": GOOD}]),
+        ("assignment[1] is missing element 'b'", "assignment[1]['b']"),
+    ),
+    "family-assignment-extra": (
+        validate_document,
+        edited(FAMILY_DOC, assignment=[FAMILY_DOC["assignment"][0], {"a": GOOD, "b": GOOD, "c": GOOD}]),
+        ("assignment[1] names elements outside set 1", "assignment[1]"),
+    ),
+    "family-triplet-length": (
+        validate_document,
+        edited(FAMILY_DOC, assignment=[FAMILY_DOC["assignment"][0], {"a": GOOD, "b": GOOD[:2]}]),
+        ("triplet must be a 3-item list", "assignment[1]['b']"),
+    ),
+    "family-triplet-strings": (
+        validate_document,
+        edited(FAMILY_DOC, assignment=[FAMILY_DOC["assignment"][0], {"a": GOOD, "b": [1, 2, 3]}]),
+        ("triplet components must be 'num/den' strings", "assignment[1]['b']"),
+    ),
+    "tree-strings": (
+        validate_document,
+        edited(TREE_DOC, strings=None),
+        ("tree document needs a 'strings' list", "strings"),
+    ),
+    "tree-horizon": (validate_document, edited(TREE_DOC, horizon=True), ("horizon must be a positive integer", "horizon")),
+    "tree-binary": (
+        validate_document,
+        edited(TREE_DOC, strings=["11", "1a"]),
+        ("strings[1] must be a binary string", "strings[1]"),
+    ),
+    "tree-not-string": (
+        validate_document,
+        edited(TREE_DOC, strings=["11", 10]),
+        ("strings[1] must be a binary string", "strings[1]"),
+    ),
+    "tree-longer": (
+        validate_document,
+        edited(TREE_DOC, strings=["11", "011"]),
+        ("strings[1] is longer than the horizon", "strings[1]"),
+    ),
+    "tree-assignment-object": (
+        validate_document,
+        edited(TREE_DOC, assignment=[]),
+        ("assignment must be an object", "assignment"),
+    ),
+    "tree-assignment-missing": (
+        validate_document,
+        edited(TREE_DOC, assignment={"": GOOD, "11": GOOD}),
+        ("assignment is missing node '1'", "assignment['1']"),
+    ),
+    "tree-assignment-extra": (
+        validate_document,
+        edited(TREE_DOC, assignment={**TREE_DOC["assignment"], "0": GOOD}),
+        ("assignment names nodes outside the tree", "assignment"),
+    ),
+    "tree-triplet-length": (
+        validate_document,
+        edited(TREE_DOC, assignment={**TREE_DOC["assignment"], "1": "6/10"}),
+        ("triplet must be a 3-item list", "assignment['1']"),
+    ),
+    "tree-triplet-invalid": (
+        validate_document,
+        edited(TREE_DOC, assignment={**TREE_DOC["assignment"], "1": ["1/2", "1/4", "1/8"]}),
+        ("invalid triplet at assignment['1']: components sum to 7/8, not 1", "assignment['1']"),
+    ),
+    "zorn-members": (
+        validate_document,
+        edited(ZORN_DOC, members=[]),
+        ("zorn document needs a non-empty 'members' list", "members"),
+    ),
+    "zorn-member-list": (
+        validate_document,
+        edited(ZORN_DOC, members=[[], "1"]),
+        ("members[1] must be a list", "members[1]"),
+    ),
+    "zorn-member-element": (
+        validate_document,
+        edited(ZORN_DOC, members=[[], [1]]),
+        ("members[1] elements must be strings", "members[1]"),
+    ),
+    "zorn-member-duplicate": (
+        validate_document,
+        edited(ZORN_DOC, members=[[], ["1", "1"]]),
+        ("members[1] lists a duplicate element", "members[1]"),
+    ),
+    "zorn-members-distinct": (
+        validate_document,
+        edited(ZORN_DOC, members=[[], ["1", "2"], ["2", "1"]]),
+        ("members must be distinct as sets", "members"),
+    ),
+    "zorn-table-list": (
+        validate_document,
+        edited(ZORN_DOC, fan_triplets={}),
+        ("fan_triplets must be a list", "fan_triplets"),
+    ),
+    "zorn-record-object": (
+        validate_document,
+        edited(ZORN_DOC, fan_triplets=[ZORN_DOC["fan_triplets"][0], 5]),
+        ("fan_triplets[1] must be an object", "fan_triplets[1]"),
+    ),
+    "zorn-record-indices": (
+        validate_document,
+        edited(ZORN_DOC, fan_triplets=[ZORN_DOC["fan_triplets"][0], {"member": 0, "entry": "2"}]),
+        ("fan_triplets[1] needs integer 'member' and 'entry' indices", "fan_triplets[1]"),
+    ),
+    "zorn-record-superset": (
+        validate_document,
+        edited(ZORN_DOC, fan_triplets=[ZORN_DOC["fan_triplets"][0], {"member": 2, "entry": 1}]),
+        ("fan_triplets[1]: member 1 is not a strict superset of member 2", "fan_triplets[1]"),
+    ),
+    "zorn-record-duplicate": (
+        validate_document,
+        edited(ZORN_DOC, fan_triplets=[ZORN_DOC["fan_triplets"][0]] * 2),
+        ("fan_triplets[1] duplicates a pair", "fan_triplets[1]"),
+    ),
+    "zorn-record-missing": (
+        validate_document,
+        edited(ZORN_DOC, fan_triplets=ZORN_DOC["fan_triplets"][:1] + ZORN_DOC["fan_triplets"][2:]),
+        ("fan_triplets is missing the pair (member 0, entry 2)", "fan_triplets(0,2)"),
+    ),
+    "zorn-triplet-absent": (
+        validate_document,
+        edited(ZORN_DOC, fan_triplets=[ZORN_DOC["fan_triplets"][0], {"member": 0, "entry": 2}]),
+        ("triplet must be a 3-item list", "fan_triplets[1].triplet"),
+    ),
+    "zorn-triplet-invalid": (
+        validate_document,
+        edited(ZORN_DOC, fan_triplets=[{"member": 0, "entry": 1, "triplet": ["1/3", "1/3", "1/3"]}]),
+        (
+            "invalid triplet at fan_triplets[0].triplet: components must be pairwise distinct, got (1/3, 1/3, 1/3)",
+            "fan_triplets[0].triplet",
+        ),
+    ),
+    "generate-no-rng": (generate_assignment, FAMILY_DOC, ("document has no rng block to generate from", "rng")),
+    "report-object": (report_from_json, [], ("report must be an object", "report")),
+    "report-maximal": (
+        report_from_json,
+        {"maximal": [True], "successors": []},
+        ("report.maximal must list member indices", "report.maximal"),
+    ),
+    "report-successors": (
+        report_from_json,
+        {"maximal": [2]},
+        ("report.successors must be a list", "report.successors"),
+    ),
+    "report-record-object": (
+        report_from_json,
+        {**REPORT, "successors": [{"member": 0, "successor": 2, "provenance": "direct"}, 5]},
+        ("successors[1] must be an object", "report.successors[1]"),
+    ),
+    "report-record-indices": (
+        report_from_json,
+        {**REPORT, "successors": [{"member": 0, "successor": None, "provenance": "direct"}]},
+        ("successors[0] needs integer 'member' and 'successor'", "report.successors[0]"),
+    ),
+    "report-record-provenance": (
+        report_from_json,
+        {**REPORT, "successors": [{"member": 0, "successor": 2, "provenance": "chosen"}]},
+        ("successors[0].provenance must be 'direct' or 'compensated'", "report.successors[0].provenance"),
+    ),
+    "report-record-duplicate": (
+        report_from_json,
+        {**REPORT, "successors": [{"member": 0, "successor": 2, "provenance": "direct"}] * 2},
+        ("successors[1] duplicates member 0", "report.successors[1]"),
+    ),
+}
+
+
+@pytest.mark.parametrize("check", SCHEMA_ERRORS.values(), ids=SCHEMA_ERRORS.keys())
+def test_every_schema_check_keeps_its_message_and_address(check):
+    function, raw, (message, address) = check
+    with pytest.raises(SchemaError) as info:
+        function(raw)
+    assert (type(info.value), str(info.value), info.value.address) == (SchemaError, message, address)

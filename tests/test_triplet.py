@@ -22,7 +22,7 @@ from neutrochoice import (
     parse_triplet,
     random_triplet,
 )
-from neutrochoice.triplet import triplet_table
+from neutrochoice.triplet import as_rational, triplet_table
 from oracles import _argmax_verdict, reference_triplet_error, triplet_pool
 
 unit_range_fractions = st.builds(
@@ -84,6 +84,14 @@ def test_triplet_errors_keep_their_messages(components, error, message, address)
     with pytest.raises(error) as info:
         make_triplet(*components)
     assert (str(info.value), info.value.address) == (message, address)
+
+
+def test_as_rational_keeps_every_form_but_exponents():
+    for text in ("3/4", " 3/4 ", "-1/3", "0.75", "1_2/16", "1", "+0"):
+        assert as_rational(text) == Fraction(text)
+    for text in ("75e-2", "0.75E0", "-1e-3000000", " 1E+2 "):
+        with pytest.raises(ValueError, match="exponent notation is not accepted; use a 'num/den' string"):
+            as_rational(text)
 
 
 @given(unit_range_fractions, unit_range_fractions, st.one_of(unit_range_fractions, st.none()))
