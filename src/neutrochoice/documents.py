@@ -12,8 +12,10 @@ result is self-contained and replayable.
 from __future__ import annotations
 
 import json
+import math
 import random
 import sys
+from json.encoder import encode_basestring_ascii as _escape
 from typing import Any, Callable
 
 from .errors import NeutroChoiceError, ParseError, SchemaError
@@ -191,13 +193,12 @@ def _validate_zorn(doc: dict) -> dict:
     if len({frozenset(m) for m in out_members}) != len(out_members):
         raise SchemaError("members must be distinct as sets", address="members")
     out: dict = {"kind": "zorn", "members": out_members}
-    family = zorn_family(out)
-    pairs = zorn_mod.fan_pairs(family)
-    pair_set = set(pairs)
     if "fan_triplets" in doc:
         raw_table = doc["fan_triplets"]
         if not isinstance(raw_table, list):
             raise SchemaError("fan_triplets must be a list", address="fan_triplets")
+        pairs = zorn_mod.fan_pairs(zorn_family(out))
+        pair_set = set(pairs)
         seen: dict[tuple[int, int], list[str]] = {}
         read = _reader()
         for i, record in enumerate(raw_table):
@@ -399,6 +400,81 @@ def plan_to_json(plan) -> dict:
     }
 
 
+def _scalar(value: Any) -> str:
+    """The JSON text of a leaf value, as ``json.dumps`` writes it."""
+    if isinstance(value, str):
+        return _escape(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if math.isinf(value):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _render(value: Any, pad: str, out: list[str]) -> None:
+    """Append the ``indent=2`` text of ``value``, on a line indented by ``pad``, to ``out``."""
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        lead, sep = "{\n" + inner, ",\n" + inner
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                if not (key is None or isinstance(key, (int, float))):
+                    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+                key = _scalar(key)
+            out.append(lead + _escape(key) + ": ")
+            lead = sep
+            kind = type(item)
+            if kind is str:
+                out.append(_escape(item))
+            elif kind is int:
+                out.append(int.__repr__(item))
+            else:
+                _render(item, inner, out)
+        out.append("\n" + pad + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        lead, sep = "[\n" + inner, ",\n" + inner
+        if type(value[0]) is str:
+            try:  # the escaper rejects a non-string item, and the loop below takes over
+                out.append(lead + sep.join(map(_escape, value)) + "\n" + pad + "]")
+                return
+            except TypeError:
+                pass
+        for item in value:
+            out.append(lead)
+            lead = sep
+            _render(item, inner, out)
+        out.append("\n" + pad + "]")
+    else:
+        out.append(_scalar(value))
+
+
 def dumps_canonical(payload: dict) -> str:
-    """Deterministic JSON rendering: sorted keys, fixed separators."""
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """The bytes of ``json.dumps(payload, sort_keys=True, indent=2)`` plus a newline.
+
+    Keys are sorted, items sit one per line indented by two spaces, and
+    every string is ASCII-escaped by the C escaper that ``json`` itself
+    uses.  CPython's C encoder serves only ``indent=None``, so this walks
+    the payload here rather than in the pure-Python encoder; a value
+    ``json.dumps`` rejects raises the same ``TypeError``.
+    """
+    out: list[str] = []
+    _render(payload, "", out)
+    out.append("\n")
+    return "".join(out)

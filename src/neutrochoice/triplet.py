@@ -89,6 +89,8 @@ class Triplet:
     p_not_chosen: Fraction
     p_indeterminate: Fraction
     verdict: Verdict = field(init=False, compare=False, repr=False)
+    #: the ``"num/den"`` strings, formatted on the first ``serialize()``
+    _strings: tuple[str, str, str] | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         i = as_rational(self.p_chosen)
@@ -126,7 +128,10 @@ class Triplet:
         return (self.p_chosen, self.p_not_chosen, self.p_indeterminate)
 
     def serialize(self) -> list[str]:
-        return [format_rational(c) for c in self.components()]
+        """The components as ``"num/den"`` strings, in a new list on each call."""
+        if self._strings is None:
+            object.__setattr__(self, "_strings", tuple(map(format_rational, self.components())))
+        return list(self._strings)
 
 
 def make_triplet(p_chosen, p_not_chosen, p_indeterminate) -> Triplet:

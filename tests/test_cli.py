@@ -21,10 +21,11 @@ from neutrochoice import (
     Stage,
     StepKind,
     verify_plan,
+    verify_report,
     verify_trace,
 )
 from neutrochoice.cli import COMMANDS, main
-from neutrochoice.documents import dumps_canonical, family_choice, tree_choice
+from neutrochoice.documents import dumps_canonical, family_choice, report_from_json, tree_choice, zorn_family
 
 PAPER_FAMILY = {
     "kind": "family",
@@ -601,7 +602,9 @@ def test_fuzzed_cli_runs_end_in_one_json_object(tmp_path_factory, data):
     with contextlib.redirect_stdout(out):
         code = main([command, str(path), *flags])
     assert code in (0, 1, 2)
-    assert isinstance(json.loads(out.getvalue()), dict)
+    payload = json.loads(out.getvalue())
+    assert isinstance(payload, dict)
+    assert out.getvalue() == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 DEEP = 1500
@@ -644,6 +647,42 @@ def test_enumerate_paths_and_classify_on_a_horizon_1500_chain(tmp_path, capsys):
     code, payload = run(capsys, "classify", path)
     assert code == 0
     assert set(payload["outputs"]["verdicts"].values()) == {"chosen"}
+
+
+def singletons_and_pairs(n: int) -> list[list[str]]:
+    """``{a_i}`` and ``{a_i, b_i}``: each singleton's fan is one pair, so one unchosen pair exhausts."""
+    return [[f"a{i}"] for i in range(n)] + [[f"a{i}", f"b{i}"] for i in range(n)]
+
+
+def singletons_in_a_ring(n: int, reach: int) -> list[list[str]]:
+    """``{a_i}`` and ``{a_i, a_(i+d)}`` for ``d`` up to ``reach``: fans of ``2 * reach`` pairs."""
+    return [[f"a{i}"] for i in range(n)] + [[f"a{i}", f"a{(i + d) % n}"] for i in range(n) for d in range(1, reach + 1)]
+
+
+@pytest.mark.parametrize(
+    "members, seed, expected",
+    [(singletons_and_pairs(1000), 1, 1), (singletons_in_a_ring(250, 7), 2, 0)],
+    ids=["singletons-and-pairs", "ring"],
+)
+def test_find_maximal_on_2000_members(tmp_path, capsys, members, seed, expected):
+    assert len(members) == 2000
+    path = write_doc(tmp_path, "zorn.json", {"kind": "zorn", "members": members, "rng": {"seed": seed, "denominator_bound": 10}})
+    result_path = str(tmp_path / "result.json")
+    started = time.perf_counter()
+    code = main(["find-maximal", path, "--output", result_path])
+    assert time.perf_counter() - started < 5
+    assert code == expected
+    with open(result_path) as handle:
+        payload = json.load(handle)
+    assert isinstance(payload, dict)
+    if code == 1:
+        assert payload["diagnostics"][0]["type"] == "CompensationExhausted"
+        return
+    report = report_from_json(payload["outputs"]["report"])
+    assert "compensated" in {s["provenance"] for s in payload["outputs"]["report"]["successors"]}
+    assert verify_report(zorn_family(payload["input"]), report)
+    code, verdict = run(capsys, "verify-report", result_path)
+    assert code == 0 and verdict["outputs"] == {"valid": True}
 
 
 @pytest.mark.parametrize(

@@ -5,9 +5,10 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from neutrochoice import BoundTooSmallError, ParseError, SchemaError, Verdict, classify, parse_triplet
-from neutrochoice import documents
+from neutrochoice import documents, zorn
 from neutrochoice.documents import (
     dumps_canonical,
     family_choice,
@@ -188,6 +189,74 @@ def test_round_trip_through_json_text():
     doc = validate_document(ZORN_DOC)
     text = dumps_canonical(doc)
     assert dumps_canonical(validate_document(json.loads(text))) == text
+
+
+# every code point, lone surrogates among them, which the default alphabet leaves out
+any_text = st.text(st.characters() | st.characters(categories=["Cs"]), max_size=6)
+json_trees = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([2**64, -(2**200), 10**300])
+    | st.floats()
+    | any_text,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(any_text, children, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(value=json_trees)
+@example({1: "a", 2: [], 3: {}})
+@example({True: 0})
+@example({None: [[]]})
+@example({1.5: {"x": ()}, -0.0: [{}], float("nan"): 1})
+@example([float("inf"), -float("inf"), float("nan"), 1e-320, 2.0**70])
+@example(["\ud800", "\u00e9", "\U0001f600", "\x00\n\"\\"])
+@example(["a", 1, "b"])
+@example(["a", ["b"], ("c",)])
+def test_dumps_canonical_writes_the_bytes_of_json_dumps(value):
+    assert dumps_canonical(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+def test_dumps_canonical_does_not_run_the_python_encoder(monkeypatch):
+    payload = {"outputs": {"plan": [{"pairs": [], "n": 1, "ok": True, "skip": None}]}, "input": ZORN_DOC}
+    expected = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pure-Python json encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    assert dumps_canonical(payload) == expected
+
+
+@pytest.mark.parametrize(
+    "value",
+    [{"x": Fraction(1, 2)}, ["a", Fraction(1)], {"x": {1, 2}}, {(1,): 2}, {"a": 1, 2: 3}],
+    ids=["fraction", "fraction-in-strings", "set", "tuple-key", "mixed-keys"],
+)
+def test_dumps_canonical_rejects_what_json_dumps_rejects(value):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(value, sort_keys=True, indent=2)
+    with pytest.raises(TypeError) as info:
+        dumps_canonical(value)
+    assert str(info.value) == str(expected.value)
+
+
+def test_generate_assignment_computes_the_fan_pairs_once(monkeypatch):
+    calls = []
+    fan_pairs = zorn.fan_pairs
+
+    def counted(family):
+        calls.append(family)
+        return fan_pairs(family)
+
+    monkeypatch.setattr(zorn, "fan_pairs", counted)
+    generated = generate_assignment({"kind": "zorn", "members": ZORN_DOC["members"], "rng": {"seed": 1, "denominator_bound": 10}})
+    assert len(calls) == 1
+    assert [(r["member"], r["entry"]) for r in generated["fan_triplets"]] == [(0, 1), (0, 2), (1, 2)]
 
 
 # Three distinct triplets, repeated over every entry of the documents below.

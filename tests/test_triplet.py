@@ -22,6 +22,7 @@ from neutrochoice import (
     parse_triplet,
     random_triplet,
 )
+from neutrochoice import triplet as triplet_module
 from neutrochoice.triplet import as_rational, triplet_table
 from oracles import _argmax_verdict, reference_triplet_error, triplet_pool
 
@@ -125,6 +126,25 @@ def test_triplet_table_passes_triplets_and_tags_raw_errors():
         triplet_table(["a"], {"a": ("1/2", "1/4", "1/8")}, where)
     assert str(invalid.value).startswith("key a: components sum to 7/8")
     assert invalid.value.address == "at a"
+
+
+def test_serialize_formats_each_triplet_once(monkeypatch):
+    calls = []
+    format_rational = triplet_module.format_rational
+
+    def counted(value):
+        calls.append(value)
+        return format_rational(value)
+
+    monkeypatch.setattr(triplet_module, "format_rational", counted)
+    t = make_triplet("6/12", "1/3", "1/6")
+    first = t.serialize()
+    first.append("changed")
+    second = t.serialize()
+    assert second == ["1/2", "1/3", "1/6"]
+    assert second is not t.serialize()
+    assert len(calls) == 3
+    assert t == make_triplet("1/2", "1/3", "1/6") and hash(t) == hash(make_triplet("1/2", "1/3", "1/6"))
 
 
 def test_parse_triplet_requires_three_components():
