@@ -195,32 +195,38 @@ def _dispatch(args) -> dict:
     return {"command": command, "input": doc, "outputs": outputs}
 
 
+def _diagnostic(command: str, exc: NeutroChoiceError) -> dict:
+    return {
+        "command": command,
+        "diagnostics": [{"type": exc.code, "message": str(exc), "address": exc.address}],
+    }
+
+
 def _emit(payload: dict, output_path: str | None) -> None:
     text = docs.dumps_canonical(payload)
     if output_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output_path, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise SchemaError(f"cannot write {output_path}: {exc}", address="output") from exc
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        result = _dispatch(args)
+        payload, status = _dispatch(args), 0
     except NeutroChoiceError as exc:
-        _emit(
-            {
-                "command": args.command,
-                "diagnostics": [
-                    {"type": exc.code, "message": str(exc), "address": exc.address}
-                ],
-            },
-            args.output,
-        )
-        return 2 if isinstance(exc, (ParseError, SchemaError)) else 1
-    _emit(result, args.output)
-    return 0
+        payload = _diagnostic(args.command, exc)
+        status = 2 if isinstance(exc, (ParseError, SchemaError)) else 1
+    try:
+        _emit(payload, args.output)
+    except SchemaError as exc:  # the output file cannot be written: report on stdout
+        _emit(_diagnostic(args.command, exc), None)
+        return 2
+    return status
 
 
 if __name__ == "__main__":

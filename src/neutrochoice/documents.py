@@ -45,6 +45,8 @@ def load_document(path: str) -> dict:
             f"{path} is not valid JSON: {exc.msg}",
             address=f"line {exc.lineno}, column {exc.colno}",
         ) from exc
+    except ValueError as exc:  # an integer literal past Python's int-string digit limit
+        raise ParseError(f"cannot parse {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("document root must be an object")
     return doc
@@ -197,9 +199,8 @@ def _validate_zorn(doc: dict) -> dict:
         raw_table = doc["fan_triplets"]
         if not isinstance(raw_table, list):
             raise SchemaError("fan_triplets must be a list", address="fan_triplets")
-        pairs = zorn_mod.fan_pairs(zorn_family(out))
-        pair_set = set(pairs)
-        seen: dict[tuple[int, int], list[str]] = {}
+        # fan order; each slot holds its pair's triplet once one is read
+        slots: dict[tuple[int, int], list[str] | None] = dict.fromkeys(zorn_mod.fan_pairs(zorn_family(out)))
         read = _reader()
         for i, record in enumerate(raw_table):
             if not isinstance(record, dict):
@@ -209,23 +210,22 @@ def _validate_zorn(doc: dict) -> dict:
                 raise SchemaError(
                     f"fan_triplets[{i}] needs integer 'member' and 'entry' indices", address=f"fan_triplets[{i}]"
                 )
-            if (member, entry) not in pair_set:
+            if (member, entry) not in slots:
                 raise SchemaError(
                     f"fan_triplets[{i}]: member {entry} is not a strict superset of member {member}",
                     address=f"fan_triplets[{i}]",
                 )
-            if (member, entry) in seen:
+            if slots[member, entry] is not None:
                 raise SchemaError(f"fan_triplets[{i}] duplicates a pair", address=f"fan_triplets[{i}]")
-            seen[(member, entry)] = _canonical_triplet(record.get("triplet"), lambda: f"fan_triplets[{i}].triplet", read)
-        for member, entry in pairs:
-            if (member, entry) not in seen:
+            slots[member, entry] = _canonical_triplet(record.get("triplet"), lambda: f"fan_triplets[{i}].triplet", read)
+        for (member, entry), triplet in slots.items():
+            if triplet is None:
                 raise SchemaError(
                     f"fan_triplets is missing the pair (member {member}, entry {entry})",
                     address=f"fan_triplets({member},{entry})",
                 )
         out["fan_triplets"] = [
-            {"member": member, "entry": entry, "triplet": seen[(member, entry)]}
-            for member, entry in pairs
+            {"member": member, "entry": entry, "triplet": triplet} for (member, entry), triplet in slots.items()
         ]
     return out
 

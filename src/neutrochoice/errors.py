@@ -91,7 +91,7 @@ class NodeNotInTreeError(NeutroChoiceError):
 
 
 class EmptyTreeError(NeutroChoiceError):
-    """The tree has no nodes to build a path from."""
+    """The tree has no root (it may have no nodes at all) to build a path from."""
 
     code = "EmptyTree"
 

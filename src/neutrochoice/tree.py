@@ -113,12 +113,11 @@ def build_tree(strings: Iterable[str], horizon: int) -> Tree:
             raise DepthExceededError(
                 f"string {s!r} is longer than the horizon {horizon}", address=s
             )
-        # longest prefix first: once one is present, so are all shorter ones
-        for cut in range(len(s), 0, -1):
-            prefix = s[:cut]
-            if prefix in nodes:
-                break
-            nodes.add(prefix)
+        # longest prefix first: once one is present, so are all shorter ones,
+        # and ROOT is seeded, so the walk stops
+        while s not in nodes:
+            nodes.add(s)
+            s = s[:-1]
     return Tree(nodes=frozenset(nodes), horizon=horizon)
 
 
@@ -206,9 +205,6 @@ class _PathSearch:
     def is_chosen(self, node: str) -> bool:
         return self.tc.assignment[node].verdict is Verdict.CHOSEN
 
-    def pc(self, node: str):
-        return self.tc.p_chosen(node)
-
     def candidates(self, current: str | None) -> list[str]:
         """Enterable nodes for the next stage: full-extension successors."""
         if current is None:
@@ -230,20 +226,21 @@ class _PathSearch:
         """
         if current is None:
             return
+        pc = self.tc.p_chosen
         for m in range(len(current) + 1):
             witness = current[:m]
             if not self.is_chosen(witness):
                 continue
-            bar = self.pc(witness)
+            bar = pc(witness)
             beside = [
                 node
                 for node in self.by_level.get(m, ())
                 if node != witness
                 and node not in self.marked
                 and self.is_chosen(node)
-                and self.pc(node) < bar
+                and pc(node) < bar
             ]
-            beside.sort(key=self.pc, reverse=True)
+            beside.sort(key=pc, reverse=True)
             yield from beside
 
     def forward_moves(self, current: str | None, dead_level: int) -> Iterator[tuple]:
@@ -252,27 +249,25 @@ class _PathSearch:
         The pair's lower-probability member is consumed as the compensator
         and the stage advances toward the higher one.  Pairs are scanned by
         level, then lexicographically; equal-length distinct strings are
-        always incompatible.
+        always incompatible.  Every scanned level lies past the dead level,
+        so no scanned node is ``current`` itself; at the root the dead level
+        is 0 and the slot ``high[:0]`` is ``ROOT``.
         """
         seen: set[tuple] = set()
-        base = current if current is not None else ROOT
+        pc = self.tc.p_chosen
+        base = current or ROOT
         for m in range(dead_level + 1, self.max_level + 1):
             extensions = [
-                node
-                for node in self.by_level.get(m, ())
-                if node != base and node.startswith(base) and self.is_chosen(node)
+                node for node in self.by_level.get(m, ()) if node.startswith(base) and self.is_chosen(node)
             ]
             for first, second in itertools.combinations(extensions, 2):
                 # first < second, so a tie leaves first as the lower member
-                low, high = (second, first) if self.pc(second) < self.pc(first) else (first, second)
+                low, high = (second, first) if pc(second) < pc(first) else (first, second)
                 if low in self.marked:
                     continue
-                if current is None:
-                    slot = ROOT
-                else:
-                    slot = high[:dead_level]
-                    if self.reach.get(slot) != self.horizon:
-                        continue
+                slot = high[:dead_level]
+                if self.reach.get(slot) != self.horizon:
+                    continue
                 key = (slot, low)
                 if key in seen:
                     continue
@@ -285,7 +280,7 @@ class _PathSearch:
         ``extend`` restores ``marked`` before it pulls the next move, so a
         move generated late sees the same marks as one generated first.
         """
-        slots = sorted(self.candidates(current), key=self.pc, reverse=True)
+        slots = sorted(self.candidates(current), key=self.tc.p_chosen, reverse=True)
         if not slots:
             return
         chosen_slots = [s for s in slots if self.is_chosen(s)]
@@ -322,8 +317,6 @@ def construct_path(tc: TreeChoice) -> PathTrace:
     the horizon (some dead step has neither a backward nor a forward
     compensator on every alternative).
     """
-    if not tc.tree.nodes:
-        raise EmptyTreeError("the tree has no nodes")
     if ROOT not in tc.tree.nodes:
         raise EmptyTreeError("the tree has no root")
     if tc.tree.horizon < 1:
@@ -350,7 +343,7 @@ def enumerate_paths(tc: TreeChoice, count: int) -> list[PathTrace]:
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
-    if not tc.tree.nodes or ROOT not in tc.tree.nodes:
+    if ROOT not in tc.tree.nodes:
         raise EmptyTreeError("the tree has no root")
     search = _PathSearch(tc)
     frontier = [node for node in search.candidates(None) if search.is_chosen(node)]
@@ -402,7 +395,7 @@ def verify_trace(tc: TreeChoice, trace: PathTrace) -> bool:
         return False
 
     chosen = search.is_chosen
-    pc = search.pc
+    pc = tc.p_chosen
     for s, stage in enumerate(stages):
         parent = stages[s - 1].node if s > 0 else None
         if stage.kind is StepKind.CHOSEN_MAX:
@@ -417,26 +410,21 @@ def verify_trace(tc: TreeChoice, trace: PathTrace) -> bool:
             return False
         if stage.kind is StepKind.COMP_BACKWARD:
             m = len(comp)
-            if m >= s or parent is None:
+            if m >= s:
                 return False
             witness = stage.node[:m]
             if not chosen(witness) or not pc(comp) < pc(witness):
                 return False
         elif stage.kind is StepKind.COMP_FORWARD:
-            if len(comp) <= s:
+            if len(comp) <= s or not comp.startswith(parent or ROOT):
                 return False
-            base = parent if parent is not None else ROOT
-            if comp == base or not comp.startswith(base):
-                return False
-            for other in search.by_level.get(len(comp), ()):
-                if other == comp or other == base or not other.startswith(base):
-                    continue
-                if not chosen(other) or (pc(other), other) < (pc(comp), comp):
-                    continue
-                if parent is not None and other[: len(stage.node)] != stage.node:
-                    continue
-                break
-            else:
+            # a partner under this stage's node outranks comp; stage.node is
+            # parent plus one bit, so the partner also extends parent
+            rank = (pc(comp), comp)
+            if not any(
+                other.startswith(stage.node) and chosen(other) and (pc(other), other) > rank
+                for other in search.by_level[len(comp)]
+            ):
                 return False
         else:
             return False

@@ -575,6 +575,66 @@ def reference_construct_path(tc: TreeChoice) -> PathTrace:
     return PathTrace(stages=tuple(search.stages))
 
 
+def reference_verify_trace(tc: TreeChoice, trace: PathTrace) -> bool:
+    """The trace verifier with every partner condition spelled out, on the
+    eager search's index: each guard is tested, none inferred from another."""
+    search = _EagerPathSearch(tc)
+    horizon = search.horizon
+    stages = trace.stages
+    if len(stages) != horizon + 1:
+        return False
+    for s, stage in enumerate(stages):
+        if stage.index != s or search.reach.get(stage.node) != horizon or len(stage.node) != s:
+            return False
+        if s > 0 and stage.node[:-1] != stages[s - 1].node:
+            return False
+
+    compensators = [st.compensator for st in stages if st.compensator is not None]
+    if len(compensators) != len(set(compensators)):
+        return False
+
+    chosen = search.is_chosen
+    pc = search.pc
+    for s, stage in enumerate(stages):
+        parent = stages[s - 1].node if s > 0 else None
+        if stage.kind is StepKind.CHOSEN_MAX:
+            if stage.compensator is not None or not chosen(stage.node):
+                return False
+            continue
+        # Compensated stages require a genuinely dead step.
+        if any(chosen(n) for n in search.candidates(parent)) or stage.compensator is None:
+            return False
+        comp = stage.compensator
+        if comp not in tc.tree.nodes or not chosen(comp):
+            return False
+        if stage.kind is StepKind.COMP_BACKWARD:
+            m = len(comp)
+            if m >= s or parent is None:
+                return False
+            witness = stage.node[:m]
+            if not chosen(witness) or not pc(comp) < pc(witness):
+                return False
+        elif stage.kind is StepKind.COMP_FORWARD:
+            if len(comp) <= s:
+                return False
+            base = parent if parent is not None else ""
+            if comp == base or not comp.startswith(base):
+                return False
+            for other in search.by_level.get(len(comp), ()):
+                if other == comp or other == base or not other.startswith(base):
+                    continue
+                if not chosen(other) or (pc(other), other) < (pc(comp), comp):
+                    continue
+                if parent is not None and other[: len(stage.node)] != stage.node:
+                    continue
+                break
+            else:
+                return False
+        else:
+            return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # samplers (deterministic given the rng)
 

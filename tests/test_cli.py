@@ -385,6 +385,35 @@ def test_unreadable_json_is_a_parse_error(tmp_path, capsys, content):
     assert payload["diagnostics"][0]["type"] == "ParseError"
 
 
+@pytest.mark.parametrize(
+    "head, tail",
+    [
+        ('{"kind": "tree", "strings": ["0"], "horizon": ', "}"),
+        ('{"kind": "family", "sets": [["a"]], "rng": {"seed": ', "}}"),
+    ],
+    ids=["tree-horizon", "family-rng-seed"],
+)
+def test_an_integer_past_the_digit_limit_is_a_parse_error(tmp_path, capsys, head, tail):
+    # json.load raises a plain ValueError past Python's int-string digit limit
+    path = tmp_path / "long.json"
+    path.write_text(head + "9" * 5000 + tail)
+    code, payload = run(capsys, "partition", str(path))
+    assert code == 2
+    (diag,) = payload["diagnostics"]
+    assert diag["type"] == "ParseError" and str(path) in diag["message"]
+
+
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+def test_an_unwritable_output_is_a_schema_error_on_stdout(tmp_path, capsys, target):
+    path = write_doc(tmp_path, "family.json", PAPER_FAMILY)
+    output = tmp_path if target == "directory" else tmp_path / "absent" / "out.json"
+    code, payload = run(capsys, "partition", path, "--output", str(output))
+    assert code == 2
+    (diag,) = payload["diagnostics"]
+    assert (diag["type"], diag["address"]) == ("SchemaError", "output")
+    assert not (tmp_path / "absent").exists()
+
+
 def test_enumerate_paths_stops_at_an_unreachable_horizon(tmp_path, capsys):
     path = write_doc(tmp_path, "tree.json", CHAIN_TREE)
     started = time.perf_counter()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 import time
@@ -33,6 +34,7 @@ from neutrochoice import (
 from oracles import (
     oracle_valid_final_paths,
     reference_construct_path,
+    reference_verify_trace,
     sample_tree_choice,
     split_pool,
     triplet_pool,
@@ -260,6 +262,19 @@ def test_construct_path_rejects_empty_tree():
         construct_path(tc)
 
 
+@pytest.mark.parametrize(
+    "tree",
+    [Tree(nodes=frozenset(), horizon=2), Tree(nodes=frozenset({"0"}), horizon=1)],
+    ids=["empty", "rootless"],
+)
+def test_both_path_builders_reject_a_tree_without_a_root(tree):
+    tc = build_tree_choice(tree, {node: CHOSEN_HI for node in tree.nodes})
+    with pytest.raises(EmptyTreeError, match="the tree has no root"):
+        construct_path(tc)
+    with pytest.raises(EmptyTreeError, match="the tree has no root"):
+        enumerate_paths(tc, 1)
+
+
 def test_construct_path_rejects_short_tree():
     tree = build_tree(["0"], 3)
     tc = build_tree_choice(tree, {"": CHOSEN_HI, "0": CHOSEN_HI})
@@ -350,6 +365,35 @@ def test_verify_trace_rejects_tampering():
     assert not verify_trace(tc, rebuilt(1, compensator="000"))
     # a dead stage cannot masquerade as a chosen step
     assert not verify_trace(tc, rebuilt(2, kind=StepKind.CHOSEN_MAX, compensator=None))
+
+
+def test_verify_trace_matches_the_reference_on_forged_stages():
+    """Every single-stage forgery of a constructed trace: each step kind with
+    no compensator or any node as the compensator."""
+    rng = random.Random(4242)
+    groups = split_pool(triplet_pool(6))
+    verdicts: collections.Counter = collections.Counter()
+    for _ in range(120):
+        tc = sample_tree_choice(rng, groups, max_horizon=4)
+        try:
+            trace = construct_path(tc)
+        except PreconditionViolatedError:
+            continue
+        for stage, kind, comp in itertools.product(
+            trace.stages, StepKind, [None, *sorted(tc.tree.nodes)]
+        ):
+            forged_stage = Stage(index=stage.index, node=stage.node, kind=kind, compensator=comp)
+            if forged_stage == stage:
+                continue
+            stages = list(trace.stages)
+            stages[stage.index] = forged_stage
+            forged = PathTrace(stages=tuple(stages))
+            valid = verify_trace(tc, forged)
+            assert valid == reference_verify_trace(tc, forged), (tc, forged)
+            verdicts[kind, valid] += 1
+    # the sweep must accept and reject forgeries of both compensated kinds
+    for kind in (StepKind.COMP_FORWARD, StepKind.COMP_BACKWARD):
+        assert verdicts[kind, True] and verdicts[kind, False], verdicts
 
 
 def test_construct_path_agrees_with_oracle_smoke():
