@@ -83,7 +83,7 @@ def _prepared_document(args) -> dict:
 def _classify_outputs(doc: dict, threshold: str | None) -> dict:
     if threshold is not None:
         try:
-            threshold = format_rational(as_rational(threshold))
+            threshold = as_rational(threshold)
         except (ValueError, TypeError, ZeroDivisionError) as exc:
             raise SchemaError(f"invalid threshold {threshold!r}: {exc}", address="threshold") from exc
 
@@ -106,7 +106,7 @@ def _classify_outputs(doc: dict, threshold: str | None) -> dict:
     else:
         raise SchemaError("classify expects a family or tree document", address="kind")
     if threshold is not None:
-        outputs["threshold"] = threshold
+        outputs["threshold"] = format_rational(threshold)
     return outputs
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 import sys
 from json.encoder import encode_basestring_ascii as _escape
 from typing import Any, Callable
@@ -28,10 +29,30 @@ from .zorn import MaximalReport, Provenance, SuccessorEntry, ZornFamily
 KINDS = ("family", "tree", "zorn")
 
 
+#: a JSON string, skipped whole, or a JSON number split into its parts
+_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|-?([0-9]+)(\.[0-9]+)?([eE][-+]?[0-9]+)?')
+
+
+def _over_long_integer(text: str) -> str | None:
+    """``"line L, column C"`` of the first integer literal with more digits
+    than Python's int-string limit, or None.  A literal with a fraction or
+    an exponent is read as a float, which has no limit."""
+    limit = sys.get_int_max_str_digits()
+    for match in _TOKEN.finditer(text):
+        digits, fraction, exponent = match.groups()
+        if digits and not fraction and not exponent and 0 < limit < len(digits):
+            pos = match.start()
+            line = text.count("\n", 0, pos) + 1
+            column = pos - text.rfind("\n", 0, pos)
+            return f"line {line}, column {column}"
+    return None
+
+
 def load_document(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
+            text = handle.read()
+        doc = json.loads(text)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -46,7 +67,7 @@ def load_document(path: str) -> dict:
             address=f"line {exc.lineno}, column {exc.colno}",
         ) from exc
     except ValueError as exc:  # an integer literal past Python's int-string digit limit
-        raise ParseError(f"cannot parse {path}: {exc}") from exc
+        raise ParseError(f"cannot parse {path}: {exc}", address=_over_long_integer(text)) from exc
     if not isinstance(doc, dict):
         raise SchemaError("document root must be an object")
     return doc

@@ -201,6 +201,8 @@ class _PathSearch:
         self.max_level = max(self.by_level) if self.by_level else 0
         self.marked: set[str] = set()
         self.stages: list[Stage] = []
+        # (current, marks) pairs whose extend failed; see extend
+        self.failed: set[tuple] = set()
 
     def is_chosen(self, node: str) -> bool:
         return self.tc.assignment[node].verdict is Verdict.CHOSEN
@@ -294,8 +296,18 @@ class _PathSearch:
         yield from self.forward_moves(current, 0 if current is None else len(current) + 1)
 
     def extend(self, current: str | None) -> bool:
+        """Push stages from ``current`` to the horizon, depth first.
+
+        The outcome depends only on ``current`` and ``marked``, which a
+        failed call leaves as it found them, so a failed pair is recorded
+        and fails at once when it recurs: without this, interchangeable
+        compensators are retried in every order.  The key is built only
+        once some call has failed.
+        """
         if current is not None and len(current) == self.horizon:
             return True
+        if self.failed and (current, frozenset(self.marked)) in self.failed:
+            return False
         for slot, kind, compensator in self.moves(current):
             self.stages.append(
                 Stage(index=len(self.stages), node=slot, kind=kind, compensator=compensator)
@@ -307,6 +319,7 @@ class _PathSearch:
             if compensator is not None:
                 self.marked.discard(compensator)
             self.stages.pop()
+        self.failed.add((current, frozenset(self.marked)))
         return False
 
 
@@ -416,7 +429,8 @@ def verify_trace(tc: TreeChoice, trace: PathTrace) -> bool:
             if not chosen(witness) or not pc(comp) < pc(witness):
                 return False
         elif stage.kind is StepKind.COMP_FORWARD:
-            if len(comp) <= s or not comp.startswith(parent or ROOT):
+            # len(comp) > s is implied: at levels <= s only stage.node, unchosen here, lies under stage.node
+            if not comp.startswith(parent or ROOT):
                 return False
             # a partner under this stage's node outranks comp; stage.node is
             # parent plus one bit, so the partner also extends parent

@@ -37,8 +37,18 @@ _ONE = Fraction(1)
 def as_rational(value) -> Fraction:
     """Coerce an int, a ``"num/den"`` string, or a Fraction to a Fraction.
 
-    Floats are rejected: the core is exact end to end.
+    Floats are rejected: the core is exact end to end.  A ``str`` of ASCII
+    digits, optionally followed by ``/`` and ASCII digits, is read with two
+    ``int`` calls.  Every other string (signs, spaces, ``_``, decimal
+    points, exponents, non-ASCII digits, an empty side of ``/``) falls
+    through to ``Fraction(str)``, so values and errors are the same either
+    way.
     """
+    if type(value) is str:
+        # int() also takes signs, spaces and "_" (isdigit rejects them) and "١" (isascii does)
+        num, slash, den = value.partition("/")
+        if num.isascii() and num.isdigit() and (not slash or (den.isascii() and den.isdigit())):
+            return Fraction(int(num), int(den) if slash else 1)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):

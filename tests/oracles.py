@@ -68,6 +68,24 @@ def triplet_pool(max_denominator: int) -> list[Triplet]:
     return pool
 
 
+def reference_as_rational(value) -> Fraction:
+    """``as_rational`` as it was before its ASCII fast path: every string
+    goes through ``Fraction(str)`` after the exponent check."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, bool):
+        raise TypeError("booleans are not probabilities")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, float):
+        raise TypeError("floats are not accepted; use Fraction, int, or 'num/den' strings")
+    if isinstance(value, str):
+        if "e" in value or "E" in value:
+            raise ValueError("exponent notation is not accepted; use a 'num/den' string")
+        return Fraction(value)
+    raise TypeError(f"cannot interpret {value!r} as a rational")
+
+
 def reference_triplet_error(i: Fraction, j: Fraction, k: Fraction):
     """The error ``Triplet(i, j, k)`` must raise, found by Fraction arithmetic.
 

@@ -9,6 +9,7 @@ import io
 import json
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ from neutrochoice import (
     verify_report,
     verify_trace,
 )
+from neutrochoice import cli as cli_module
 from neutrochoice.cli import COMMANDS, main
 from neutrochoice.documents import dumps_canonical, family_choice, report_from_json, tree_choice, zorn_family
 
@@ -124,6 +126,20 @@ def test_classify_threshold_mode(tmp_path, capsys):
     verdicts = payload["outputs"]["verdicts"]
     assert verdicts[1]["a"] == "chosen_at_threshold"
     assert verdicts[2]["z"] == "not_chosen_at_threshold"
+
+
+def test_classify_threshold_is_parsed_once(tmp_path, capsys, monkeypatch):
+    seen = []
+    real = cli_module.classify_threshold
+    monkeypatch.setattr(cli_module, "classify_threshold", lambda t, p: seen.append(p) or real(t, p))
+    path = write_doc(tmp_path, "family.json", PAPER_FAMILY)
+    assert run(capsys, "classify", path, "--threshold", "05/10")[0] == 0
+    assert len(seen) == 7 and all(p == Fraction(1, 2) and type(p) is Fraction for p in seen)
+    code, payload = run(capsys, "classify", path, "--threshold", "12/8")
+    assert code == 1
+    assert payload["diagnostics"] == [
+        {"type": "ThresholdOutOfRange", "message": "threshold 3/2 lies outside [0, 1]", "address": None}
+    ]
 
 
 def test_find_path_on_chain_tree(tmp_path, capsys):
@@ -390,17 +406,25 @@ def test_unreadable_json_is_a_parse_error(tmp_path, capsys, content):
     [
         ('{"kind": "tree", "strings": ["0"], "horizon": ', "}"),
         ('{"kind": "family", "sets": [["a"]], "rng": {"seed": ', "}}"),
+        (
+            '{"note": "' + "9" * 5000 + '", "x": [-1.' + "9" * 5000 + ", 1" + "0" * 5000 + 'e1],\n "horizon": -',
+            "}",
+        ),
     ],
-    ids=["tree-horizon", "family-rng-seed"],
+    ids=["tree-horizon", "family-rng-seed", "after-a-long-string-and-floats"],
 )
 def test_an_integer_past_the_digit_limit_is_a_parse_error(tmp_path, capsys, head, tail):
-    # json.load raises a plain ValueError past Python's int-string digit limit
+    # the json decoder raises a plain ValueError past Python's int-string digit limit
     path = tmp_path / "long.json"
     path.write_text(head + "9" * 5000 + tail)
     code, payload = run(capsys, "partition", str(path))
     assert code == 2
     (diag,) = payload["diagnostics"]
     assert diag["type"] == "ParseError" and str(path) in diag["message"]
+    # the address names the over-long literal, sign included
+    start = len(head.rstrip("-"))
+    line, column = head.count("\n") + 1, start - head.rfind("\n", 0, start)
+    assert diag["address"] == f"line {line}, column {column}"
 
 
 @pytest.mark.parametrize("target", ["directory", "missing-parent"])

@@ -256,6 +256,29 @@ def test_construct_path_rejects_uncompensatable_dead_step():
         construct_path(tc)
 
 
+def spurred_spine_choice(k: int):
+    """A spine of ``k`` chosen levels, each beside a lower-ranked chosen spur,
+    then ``k + 1`` dead levels: ``3k + 2`` nodes, ``k`` backward
+    compensators for ``k + 1`` dead steps, so no path exists."""
+    spine = ["0" * m for m in range(2 * k + 2)]
+    spurs = ["0" * (m - 1) + "1" for m in range(1, k + 1)]
+    assignment = {node: CHOSEN_HI if len(node) <= k else NOT_CHOSEN for node in spine}
+    assignment.update((spur, CHOSEN_LO) for spur in spurs)
+    tree = build_tree(spine + spurs, 2 * k + 1)
+    assert len(tree.nodes) == 3 * k + 2
+    return build_tree_choice(tree, assignment)
+
+
+def test_construct_path_fails_fast_on_interchangeable_compensators():
+    # every order of spending the k spurs fails the same way; a search that
+    # retries each order takes about k! steps (34 s at k = 9)
+    tc = spurred_spine_choice(9)
+    started = time.perf_counter()
+    with pytest.raises(PreconditionViolatedError):
+        construct_path(tc)
+    assert time.perf_counter() - started < 1
+
+
 def test_construct_path_rejects_empty_tree():
     tc = build_tree_choice(Tree(nodes=frozenset(), horizon=2), {})
     with pytest.raises(EmptyTreeError):

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from neutrochoice import (
     BoundTooSmallError,
@@ -24,7 +24,7 @@ from neutrochoice import (
 )
 from neutrochoice import triplet as triplet_module
 from neutrochoice.triplet import as_rational, triplet_table
-from oracles import _argmax_verdict, reference_triplet_error, triplet_pool
+from oracles import _argmax_verdict, reference_as_rational, reference_triplet_error, triplet_pool
 
 unit_range_fractions = st.builds(
     Fraction, st.integers(min_value=-3, max_value=14), st.integers(min_value=1, max_value=12)
@@ -93,6 +93,54 @@ def test_as_rational_keeps_every_form_but_exponents():
     for text in ("75e-2", "0.75E0", "-1e-3000000", " 1E+2 "):
         with pytest.raises(ValueError, match="exponent notation is not accepted; use a 'num/den' string"):
             as_rational(text)
+
+
+def _rational_outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:  # the type and the message must both agree
+        return type(exc), str(exc)
+
+
+#: the characters that decide between the ASCII fast path and ``Fraction(str)``
+_RATIONAL_ALPHABET = "0123456789/ _+-.eE\u0661\u0662\u00b2\uff13\uff14\t\n"
+_rational_sides = st.text(alphabet=_RATIONAL_ALPHABET, max_size=4)
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(
+    st.one_of(
+        st.text(),
+        st.text(alphabet=_RATIONAL_ALPHABET, max_size=12),
+        st.builds("{}/{}".format, _rational_sides, _rational_sides),
+    )
+)
+@example("1/0")
+@example("0/0")
+@example("/5")
+@example("12/")
+@example("1/2/3")
+@example("")
+@example(" 1/2")
+@example("1 /2")
+@example("+1/2")
+@example("-0/1")
+@example("1_0/3")
+@example("1.5")
+@example("007/012")
+@example("\u0661/\u0662")
+@example("\u00b2/3")
+@example("3/\u00b2")
+@example("\uff13/\uff14")
+@example("7" * 5000)
+@example("7" * 5000 + "/3")
+@example("3/" + "7" * 5000)
+@example("7" * 5000 + "/" + "3" * 5000)
+@example("7" * 5000 + "/0")
+@example("7" * 4300 + "/" + "3" * 4300)
+def test_as_rational_matches_fraction_on_every_string(text):
+    expected = _rational_outcome(reference_as_rational, text)
+    assert _rational_outcome(as_rational, text) == expected
 
 
 @given(unit_range_fractions, unit_range_fractions, st.one_of(unit_range_fractions, st.none()))
