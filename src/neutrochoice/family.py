@@ -231,12 +231,23 @@ def allocate_compensators(choice: NeutroChoice) -> CompensationPlan:
 
 
 def verify_plan(choice: NeutroChoice, plan: CompensationPlan) -> bool:
-    """Re-validate a compensation plan against the assignment from scratch."""
+    """Re-validate a compensation plan against the assignment from scratch.
+
+    Every empty-choice set is served once, each by a distinct chosen element
+    of another set with at least two, never that donor's reserved top; and
+    ``marks`` holds every donor's reserved top and every pair's compensator,
+    each exactly once and in any order, and nothing else.
+    """
     family = choice.family
     parts = _chosen_parts(choice)
     empty = [i for i, part in enumerate(parts) if not part.chosen]
     if sorted(pair.recipient_index for pair in plan.pairs) != empty:
         return False
+    tops = {
+        (donor, _top(choice, donor, part.chosen))
+        for donor, part in enumerate(parts)
+        if len(part.chosen) >= 2
+    }
     used: set[tuple[int, Element]] = set()
     for pair in plan.pairs:
         if pair.donor_index == pair.recipient_index:
@@ -250,13 +261,13 @@ def verify_plan(choice: NeutroChoice, plan: CompensationPlan) -> bool:
             return False
         if pair.compensated not in family.sets[pair.recipient_index]:
             return False
-        if pair.compensator == _top(choice, pair.donor_index, donor_part.chosen):
-            return False
         key = (pair.donor_index, pair.compensator)
-        if key in used:
+        if key in tops or key in used:
             return False
         used.add(key)
-    return True
+    # tops and used are disjoint, so equal lengths rule out a repeated mark
+    marks = tops | used
+    return len(plan.marks) == len(marks) and set(plan.marks) == marks
 
 
 def product_status(choice: NeutroChoice) -> ProductStatus:

@@ -282,9 +282,8 @@ class _PathSearch:
         ``extend`` restores ``marked`` before it pulls the next move, so a
         move generated late sees the same marks as one generated first.
         """
+        # empty only at a root that misses the horizon, where every branch below yields nothing
         slots = sorted(self.candidates(current), key=self.tc.p_chosen, reverse=True)
-        if not slots:
-            return
         chosen_slots = [s for s in slots if self.is_chosen(s)]
         if chosen_slots:
             for slot in chosen_slots:

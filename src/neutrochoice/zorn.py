@@ -1,18 +1,19 @@
 """Maximal elements of finite inclusion families via triplet choice.
 
-Every member's strict supersets form its fan; members with empty fans are
-maximal.  Each non-maximal member receives a successor drawn from its fan:
-directly, when some fan entry is chosen (the top entry is taken and
-marked), or by compensation, when no entry is chosen (an unmarked chosen
-entry of another member's fan that still strictly contains the base is
-consumed).  Marks are global: once a member serves as a fan top or as a
-compensator it never compensates again.
+Every member's strict supersets form its fan, tabled once per family in
+``ZornFamily.fans``; members with empty fans are maximal.  Each non-maximal
+member receives a successor drawn from its fan: directly, when some fan
+entry is chosen (the top entry is taken and marked), or by compensation,
+when no entry is chosen (an unmarked chosen entry of another member's fan
+that still strictly contains the base is consumed).  Marks are global: once
+a member serves as a fan top or as a compensator it never compensates again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Mapping
 
 from .errors import CompensationExhaustedError, NotAMemberError
@@ -41,6 +42,16 @@ class ZornFamily:
             if candidate == target:
                 return index
         raise NotAMemberError(f"{set(target)!r} is not a member of the family")
+
+    @cached_property
+    def fans(self) -> tuple[tuple[int, ...], ...]:
+        """``fans[i]``: ascending indices of member ``i``'s strict supersets,
+        built on first read; not a field, so ``==``, hash and repr ignore it."""
+        members = self.members
+        return tuple(
+            tuple(index for index, other in enumerate(members) if base < other)
+            for base in members
+        )
 
 
 @dataclass(frozen=True)
@@ -88,24 +99,13 @@ def check_chain_closed(family: ZornFamily) -> bool:
 def superset_fan(family: ZornFamily, member) -> SupersetFan:
     """Strict supersets of ``member`` within the family, in member order."""
     base_index = family.index_of(member)
-    base = family.members[base_index]
-    return SupersetFan(
-        base_index=base_index, base=base, entry_indices=_fan_indices(family, base)
-    )
-
-
-def _fan_indices(family: ZornFamily, base: frozenset) -> tuple[int, ...]:
-    return tuple(index for index, other in enumerate(family.members) if base < other)
-
-
-def _all_fans(family: ZornFamily) -> list[tuple[int, ...]]:
-    """Every member's fan entry indices, indexed by member."""
-    return [_fan_indices(family, base) for base in family.members]
+    fan = family.fans[base_index]
+    return SupersetFan(base_index=base_index, base=family.members[base_index], entry_indices=fan)
 
 
 def fan_pairs(family: ZornFamily) -> list[tuple[int, int]]:
     """Every (base index, fan entry index) pair, in canonical order."""
-    return [(base, entry) for base, fan in enumerate(_all_fans(family)) for entry in fan]
+    return [(base, entry) for base, fan in enumerate(family.fans) for entry in fan]
 
 
 def _fan_where(key: tuple[int, int]) -> tuple[str, str]:
@@ -209,7 +209,7 @@ def find_maximal(family: ZornFamily, fan_triplets: Mapping) -> MaximalReport:
     decides (see ``_compensate``).  When no such assignment exists,
     ``CompensationExhaustedError`` names a member that cannot be served.
     """
-    fans = _all_fans(family)
+    fans = family.fans
     pairs = ((base, entry) for base, fan in enumerate(fans) for entry in fan)
     table = triplet_table(pairs, fan_triplets, _fan_where)
     maximal = tuple(index for index, fan in enumerate(fans) if not fan)
@@ -239,15 +239,13 @@ def find_maximal(family: ZornFamily, fan_triplets: Mapping) -> MaximalReport:
             pending.append(base_index)
 
     if pending:
-        ranked = sorted(
-            (entry for entry in best if entry not in marked),
-            key=lambda entry: (best[entry], entry),
-        )
-        ranked_sets = [(entry, family.members[entry]) for entry in ranked]
-        options = {}
-        for base_index in pending:
-            base = family.members[base_index]
-            options[base_index] = [entry for entry, member in ranked_sets if base < member]
+        ranked = sorted((e for e in best if e not in marked), key=lambda e: (best[e], e))
+        rank = {entry: position for position, entry in enumerate(ranked)}
+        # a pending member's options: its fan entries in the ranked pool, by rank
+        options = {
+            base_index: sorted((e for e in fans[base_index] if e in rank), key=rank.get)
+            for base_index in pending
+        }
         held = _compensate(pending, options)
         for base_index in pending:
             successors[base_index] = SuccessorEntry(
@@ -257,20 +255,21 @@ def find_maximal(family: ZornFamily, fan_triplets: Mapping) -> MaximalReport:
 
 
 def verify_report(family: ZornFamily, report: MaximalReport) -> bool:
-    """Re-check a report against the family alone: claimed maximal members
-    have no strict supersets, successors strictly contain their bases, and
-    no member is consumed as a compensator twice (or after serving as a
-    direct successor)."""
+    """Re-check a report against the family alone: the claimed maximal
+    members and the successors' bases list every member exactly once,
+    claimed maximal members have no strict supersets, successors strictly
+    contain their bases, and no member is consumed as a compensator twice
+    (or after serving as a direct successor)."""
     n = len(family)
+    if sorted([*report.maximal_indices, *report.successors]) != list(range(n)):
+        return False
     for index in report.maximal_indices:
-        if not 0 <= index < n:
-            return False
         if any(family.members[index] < other for other in family.members):
             return False
     direct: set[int] = set()
     compensated: list[int] = []
     for base_index, entry in report.successors.items():
-        if not 0 <= base_index < n or not 0 <= entry.successor_index < n:
+        if not 0 <= entry.successor_index < n:
             return False
         if not family.members[base_index] < family.members[entry.successor_index]:
             return False

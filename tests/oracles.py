@@ -41,7 +41,6 @@ from neutrochoice import (
     make_triplet,
     partition_set,
     random_triplet,
-    superset_fan,
 )
 
 # ---------------------------------------------------------------------------
@@ -261,12 +260,15 @@ def oracle_valid_final_paths(tc: TreeChoice) -> set[str]:
 # zorn: brute-force maximality and compensation feasibility
 
 
+def reference_fans(family: ZornFamily) -> list[list[int]]:
+    """Every member's strict supersets' indices, ascending, by a plain
+    quadratic scan that shares no code with ``ZornFamily.fans``."""
+    members = family.members
+    return [[j for j, other in enumerate(members) if base < other] for base in members]
+
+
 def brute_maximal_indices(family: ZornFamily) -> tuple[int, ...]:
-    return tuple(
-        i
-        for i, member in enumerate(family.members)
-        if not any(member < other for other in family.members)
-    )
+    return tuple(i for i, fan in enumerate(reference_fans(family)) if not fan)
 
 
 def zorn_compensation_feasible(family: ZornFamily, table: dict) -> bool:
@@ -277,10 +279,7 @@ def zorn_compensation_feasible(family: ZornFamily, table: dict) -> bool:
     and a pending member may take any pool entry strictly containing it.
     """
     n = len(family)
-    fans = {
-        i: [j for j in range(n) if family.members[i] < family.members[j]]
-        for i in range(n)
-    }
+    fans = reference_fans(family)
     marked: set[int] = set()
     pending: list[int] = []
     for i in range(n):
@@ -297,9 +296,7 @@ def zorn_compensation_feasible(family: ZornFamily, table: dict) -> bool:
         for q in fans[donor]:
             if q not in marked and _argmax_verdict(table[(donor, q)]) == "chosen":
                 pool.add(q)
-    candidates = {
-        a: {q for q in pool if family.members[a] < family.members[q]} for a in pending
-    }
+    candidates = {a: pool.intersection(fans[a]) for a in pending}
     return _sdr_exists(candidates)
 
 
@@ -391,7 +388,7 @@ def reference_find_maximal(family: ZornFamily, table: dict) -> MaximalReport:
         for key, value in table.items()
     }
     n = len(family)
-    fans = {i: superset_fan(family, family.members[i]).entry_indices for i in range(n)}
+    fans = reference_fans(family)
     maximal = tuple(i for i in range(n) if not fans[i])
     successors: dict[int, SuccessorEntry] = {}
     marked: set[int] = set()
@@ -738,10 +735,7 @@ def sample_zorn_instance(
     ordered = tuple(sorted(members, key=lambda m: (len(m), sorted(m))))
     family = ZornFamily(members=ordered)
     n = len(family)
-    fans = {
-        i: [j for j in range(n) if family.members[i] < family.members[j]]
-        for i in range(n)
-    }
+    fans = reference_fans(family)
     non_maximal = [i for i in range(n) if fans[i]]
     starve = (
         rng.choice(non_maximal) if non_maximal and rng.random() < 0.45 else None
@@ -835,7 +829,7 @@ def sample_starved_zorn(
         if member not in members:
             members.append(member)
     family = ZornFamily(members=tuple(members))
-    fans = [[j for j, other in enumerate(members) if base < other] for base in members]
+    fans = reference_fans(family)
     non_chosen = groups["not_chosen"] + groups["indeterminate"]
     table = {}
     for base, fan in enumerate(fans):

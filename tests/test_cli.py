@@ -215,6 +215,29 @@ def test_verify_report_accepts_embedded_report(tmp_path, capsys):
     assert payload["outputs"] == {"valid": False}
 
 
+@pytest.mark.parametrize(
+    "report, valid",
+    [
+        ({"maximal": [2], "successors": [{"member": 0, "successor": 1, "provenance": "direct"},
+                                         {"member": 1, "successor": 2, "provenance": "direct"}]}, True),
+        ({"maximal": [], "successors": []}, False),
+        ({"maximal": [2, 2], "successors": []}, False),
+        ({"maximal": [2], "successors": [{"member": 0, "successor": 1, "provenance": "direct"}]}, False),
+    ],
+    ids=["complete", "empty", "duplicated-maximal", "member-in-neither-list"],
+)
+def test_verify_report_requires_every_member_exactly_once(tmp_path, capsys, report, valid):
+    doc = {
+        "kind": "zorn",
+        "members": [[], ["a"], ["a", "b"]],
+        "rng": {"seed": 1, "denominator_bound": 10},
+        "report": report,
+    }
+    code, payload = run(capsys, "verify-report", write_doc(tmp_path, "zorn.json", doc))
+    assert code == 0
+    assert payload["outputs"] == {"valid": valid}
+
+
 def test_generate_assignment_roundtrip(tmp_path, capsys):
     doc = {
         "kind": "family",
@@ -525,6 +548,19 @@ def test_error_text_is_formatted_only_where_it_is_used():
             if isinstance(node, ast.JoinedStr) and id(node) not in lazy
         ]
     assert eager == []
+
+
+def test_oracles_share_no_fan_table_with_the_library():
+    # a reference that reads the engine's fan table would share its faults
+    oracles = Path(__file__).resolve().with_name("oracles.py")
+    shared = [
+        f"{type(node).__name__}:{node.lineno}"
+        for node in ast.walk(ast.parse(oracles.read_text()))
+        if (isinstance(node, ast.ImportFrom)
+            and {alias.name for alias in node.names} & {"superset_fan", "fan_pairs"})
+        or (isinstance(node, ast.Attribute) and node.attr in {"fans", "superset_fan", "fan_pairs"})
+    ]
+    assert shared == []
 
 
 @pytest.mark.parametrize("triplet", [[["1/2"], "1/3", "1/6"], [1, 2, 3]], ids=["nested-list", "integers"])

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -241,6 +242,27 @@ def test_verify_plan_rejects_tampering():
     )
     tampered = plan.__class__(pairs=(bad,), marks=plan.marks)
     assert not verify_plan(choice, tampered)  # y is the donor's reserved top
+
+
+@pytest.mark.parametrize(
+    "forge",
+    [
+        lambda marks: (),
+        lambda marks: marks[:-1],
+        lambda marks: marks + ((1, "a"),),
+        lambda marks: marks + marks[:1],
+        lambda marks: marks[:1] * len(marks),
+        lambda marks: ((9, "q"),) * len(marks),
+    ],
+    ids=["no-marks", "missing", "extra", "duplicated", "duplicated-same-length", "junk"],
+)
+def test_verify_plan_checks_the_marks(forge):
+    # marks: the donor's reserved top y and the compensator z, each once
+    choice = paper_example_choice()
+    plan = allocate_compensators(choice)
+    assert plan.marks == ((2, "y"), (2, "z"))
+    assert verify_plan(choice, replace(plan, marks=plan.marks[::-1]))  # any order
+    assert not verify_plan(choice, replace(plan, marks=forge(plan.marks)))
 
 
 def test_allocate_matches_reference_fuzz():

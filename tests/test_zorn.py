@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from neutrochoice import (
     CompensationExhaustedError,
+    MaximalReport,
     MissingAssignmentError,
     NotAMemberError,
     Provenance,
@@ -25,6 +28,7 @@ from neutrochoice import (
 from neutrochoice.zorn import fan_pairs
 from oracles import (
     brute_maximal_indices,
+    reference_fans,
     reference_find_maximal,
     sample_starved_zorn,
     sample_zorn_instance,
@@ -255,7 +259,7 @@ def test_verify_report_rejects_false_maximal_claim():
     family = ZornFamily(members=(frozenset("1"), frozenset("12")))
     bad = find_maximal(
         family, {(0, 1): CHOSEN_HI}
-    ).__class__(maximal_indices=(0,), successors={})
+    ).__class__(maximal_indices=(0, 1), successors={})
     assert not verify_report(family, bad)
 
 
@@ -281,9 +285,64 @@ def test_verify_report_rejects_non_superset_successor():
         family, {(0, 2): CHOSEN_HI, (1, 2): CHOSEN_LO}
     ).__class__(
         maximal_indices=(2,),
-        successors={0: SuccessorEntry(successor_index=1, provenance=Provenance.DIRECT)},
+        successors={
+            0: SuccessorEntry(successor_index=1, provenance=Provenance.DIRECT),
+            1: SuccessorEntry(successor_index=2, provenance=Provenance.DIRECT),
+        },
     )
     assert not verify_report(family, forged)
+
+
+def _direct(index: int) -> SuccessorEntry:
+    return SuccessorEntry(successor_index=index, provenance=Provenance.DIRECT)
+
+
+@pytest.mark.parametrize(
+    "maximal, successors",
+    [
+        ((), {}),
+        ((2, 2), {}),
+        ((2, 2), {0: _direct(1), 1: _direct(2)}),
+        ((2,), {0: _direct(1)}),
+        ((2, 3), {0: _direct(1), 1: _direct(2)}),
+        ((2,), {-1: _direct(2), 0: _direct(1), 1: _direct(2)}),
+    ],
+    ids=["empty", "duplicated-maximal", "duplicated-maximal-with-successors",
+         "member-in-neither-list", "maximal-out-of-range", "base-out-of-range"],
+)
+def test_verify_report_requires_every_member_exactly_once(maximal, successors):
+    family = ZornFamily(members=(frozenset(), frozenset("a"), frozenset("ab")))
+    complete = MaximalReport(maximal_indices=(2,), successors={0: _direct(1), 1: _direct(2)})
+    assert verify_report(family, complete)
+    assert not verify_report(family, MaximalReport(maximal_indices=maximal, successors=successors))
+
+
+FAMILIES = st.lists(st.frozensets(st.sampled_from("abcde")), unique=True, max_size=12).map(
+    lambda members: ZornFamily(members=tuple(members))
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(FAMILIES)
+@example(ZornFamily(members=()))
+@example(ZornFamily(members=(frozenset(),)))
+@example(ZornFamily(members=(frozenset("a"),)))
+@example(ZornFamily(members=(frozenset("ab"), frozenset(), frozenset("a"), frozenset("b"))))
+def test_fans_table_matches_the_reference(family):
+    expected = reference_fans(family)
+    twin = ZornFamily(members=family.members)
+    table = family.fans
+    assert [list(fan) for fan in table] == expected
+    assert fan_pairs(family) == [(base, entry) for base, fan in enumerate(expected) for entry in fan]
+    assert [list(superset_fan(family, m).entry_indices) for m in family.members] == expected
+    # the table is no field: the twin has not read it and still compares, hashes and prints equal
+    assert "fans" in vars(family) and "fans" not in vars(twin)
+    assert twin == family and hash(twin) == hash(family) and repr(twin) == repr(family)
+    assert [field.name for field in dataclasses.fields(ZornFamily)] == ["members"]
+    find_maximal(family, all_chosen_table(family))
+    assert family.fans is table
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        family.fans = ()
 
 
 def test_find_maximal_matches_brute_force_fuzz():
