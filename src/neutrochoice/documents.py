@@ -77,10 +77,12 @@ def _reader() -> Callable[[Any], Triplet]:
     """Return a ``parse_triplet`` that parses each distinct triplet once.
 
     Documents repeat a few distinct triplets over thousands of entries, so
-    one reader serves one validation or build call and is then dropped.
-    Errors are not stored: a bad triplet raises afresh wherever it recurs.
-    Only all-string triplets are stored, because ``"1/2"`` equals only
-    strings while ``Fraction(1, 2)`` also equals the float ``0.5``.
+    one reader serves one build call and is then dropped (validation keeps
+    a table of its own, see ``_known``).  Below it, ``as_rational`` memoizes
+    each short component string.  Errors are not stored: a bad triplet
+    raises afresh wherever it recurs.  Only all-string triplets are stored,
+    because ``"1/2"`` equals only strings while ``Fraction(1, 2)`` also
+    equals the float ``0.5``.
     """
     parsed: dict[tuple, Triplet] = {}
 
@@ -96,16 +98,37 @@ def _reader() -> Callable[[Any], Triplet]:
     return read
 
 
-def _canonical_triplet(raw: Any, where: Callable[[], str], read: Callable[[Any], Triplet]) -> list[str]:
-    """Canonical strings of one triplet entry; ``where()`` names it, on failure only."""
+def _known(raw: Any, canonical: dict[tuple, tuple[str, ...]]) -> list[str] | None:
+    """Canonical strings of an entry ``_canonical_triplet`` has accepted in
+    this call, or None.
+
+    Only a list can hit: ``tuple()`` of an object with the same three
+    string keys would equal a stored key.  An unhashable item is a miss,
+    which ``_canonical_triplet`` then rejects.
+    """
+    if isinstance(raw, list):
+        try:
+            strings = canonical.get(tuple(raw))
+        except TypeError:
+            return None
+        if strings is not None:
+            return list(strings)
+    return None
+
+
+def _canonical_triplet(raw: Any, where: Callable[[], str], canonical: dict[tuple, tuple[str, ...]]) -> list[str]:
+    """Canonical strings of one triplet entry, stored in ``canonical`` under
+    its raw strings once valid; ``where()`` names it, on failure only."""
     if not (isinstance(raw, list) and len(raw) == 3):
         raise SchemaError("triplet must be a 3-item list", address=where())
     if not all(isinstance(v, str) for v in raw):
         raise SchemaError("triplet components must be 'num/den' strings", address=where())
     try:
-        return read(raw).serialize()
+        strings = parse_triplet(raw).serialize()
     except (NeutroChoiceError, ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"invalid triplet at {where()}: {exc}", address=where()) from exc
+    canonical[tuple(raw)] = tuple(strings)
+    return strings
 
 
 def _is_int(value: Any) -> bool:
@@ -146,7 +169,7 @@ def _validate_family(doc: dict) -> dict:
         if not (isinstance(assignment, list) and len(assignment) == len(out_sets)):
             raise SchemaError("assignment must list one object per set", address="assignment")
         out_assignment = []
-        read = _reader()
+        canonical: dict = {}
         for i, (raw_set, table) in enumerate(zip(out_sets, assignment)):
             if not isinstance(table, dict):
                 raise SchemaError(f"assignment[{i}] must be an object", address=f"assignment[{i}]")
@@ -160,7 +183,8 @@ def _validate_family(doc: dict) -> dict:
                 raise SchemaError(f"assignment[{i}] names elements outside set {i}", address=f"assignment[{i}]")
             out_assignment.append(
                 {
-                    element: _canonical_triplet(table[element], lambda: f"assignment[{i}][{element!r}]", read)
+                    element: _known(table[element], canonical)
+                    or _canonical_triplet(table[element], lambda: f"assignment[{i}][{element!r}]", canonical)
                     for element in raw_set
                 }
             )
@@ -193,9 +217,11 @@ def _validate_tree(doc: dict) -> dict:
                 raise SchemaError(f"assignment is missing node {node!r}", address=f"assignment[{node!r}]")
         if len(table) != len(closure):
             raise SchemaError("assignment names nodes outside the tree", address="assignment")
-        read = _reader()
+        canonical: dict = {}
         out["assignment"] = {
-            node: _canonical_triplet(table[node], lambda: f"assignment[{node!r}]", read) for node in closure
+            node: _known(table[node], canonical)
+            or _canonical_triplet(table[node], lambda: f"assignment[{node!r}]", canonical)
+            for node in closure
         }
     return out
 
@@ -222,7 +248,7 @@ def _validate_zorn(doc: dict) -> dict:
             raise SchemaError("fan_triplets must be a list", address="fan_triplets")
         # fan order; each slot holds its pair's triplet once one is read
         slots: dict[tuple[int, int], list[str] | None] = dict.fromkeys(zorn_mod.fan_pairs(zorn_family(out)))
-        read = _reader()
+        canonical: dict = {}
         for i, record in enumerate(raw_table):
             if not isinstance(record, dict):
                 raise SchemaError(f"fan_triplets[{i}] must be an object", address=f"fan_triplets[{i}]")
@@ -238,7 +264,10 @@ def _validate_zorn(doc: dict) -> dict:
                 )
             if slots[member, entry] is not None:
                 raise SchemaError(f"fan_triplets[{i}] duplicates a pair", address=f"fan_triplets[{i}]")
-            slots[member, entry] = _canonical_triplet(record.get("triplet"), lambda: f"fan_triplets[{i}].triplet", read)
+            raw = record.get("triplet")
+            slots[member, entry] = _known(raw, canonical) or _canonical_triplet(
+                raw, lambda: f"fan_triplets[{i}].triplet", canonical
+            )
         for (member, entry), triplet in slots.items():
             if triplet is None:
                 raise SchemaError(
@@ -442,8 +471,22 @@ def _scalar(value: Any) -> str:
     raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
-def _render(value: Any, pad: str, out: list[str]) -> None:
-    """Append the ``indent=2`` text of ``value``, on a line indented by ``pad``, to ``out``."""
+def _string_list(items: list | tuple, pad: str) -> str:
+    """The ``indent=2`` text of a non-empty list of strings on a line indented
+    by ``pad``; the escaper raises ``TypeError`` on an item that is not one."""
+    inner = pad + "  "
+    return "[\n" + inner + (",\n" + inner).join(map(_escape, items)) + "\n" + pad + "]"
+
+
+def _render(value: Any, pad: str, out: list[str], texts: dict[tuple, str]) -> None:
+    """Append the ``indent=2`` text of ``value``, on a line indented by ``pad``, to ``out``.
+
+    ``texts`` keeps the text of every list of strings met as a dict value
+    (a document's triplets), keyed by its line's indentation and its items.
+    A key is stored only once the escaper has taken every item, so as a
+    ``str``: ``["a", 1]`` and ``["a", True]`` are equal tuples, and neither
+    is ever stored.
+    """
     if isinstance(value, dict):
         if not value:
             out.append("{}")
@@ -462,25 +505,35 @@ def _render(value: Any, pad: str, out: list[str]) -> None:
                 out.append(_escape(item))
             elif kind is int:
                 out.append(int.__repr__(item))
+            elif kind is list and item and type(item[0]) is str:
+                memo_key = (inner, *item)
+                try:
+                    text = texts.get(memo_key)
+                    if text is None:
+                        text = texts[memo_key] = _string_list(item, inner)
+                except TypeError:  # an unhashable item, or one the escaper rejects
+                    _render(item, inner, out, texts)
+                else:
+                    out.append(text)
             else:
-                _render(item, inner, out)
+                _render(item, inner, out, texts)
         out.append("\n" + pad + "}")
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
             return
-        inner = pad + "  "
-        lead, sep = "[\n" + inner, ",\n" + inner
         if type(value[0]) is str:
             try:  # the escaper rejects a non-string item, and the loop below takes over
-                out.append(lead + sep.join(map(_escape, value)) + "\n" + pad + "]")
+                out.append(_string_list(value, pad))
                 return
             except TypeError:
                 pass
+        inner = pad + "  "
+        lead, sep = "[\n" + inner, ",\n" + inner
         for item in value:
             out.append(lead)
             lead = sep
-            _render(item, inner, out)
+            _render(item, inner, out, texts)
         out.append("\n" + pad + "]")
     else:
         out.append(_scalar(value))
@@ -496,6 +549,6 @@ def dumps_canonical(payload: dict) -> str:
     ``json.dumps`` rejects raises the same ``TypeError``.
     """
     out: list[str] = []
-    _render(payload, "", out)
+    _render(payload, "", out, {})
     out.append("\n")
     return "".join(out)

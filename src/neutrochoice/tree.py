@@ -203,6 +203,8 @@ class _PathSearch:
         self.stages: list[Stage] = []
         # (current, marks) pairs whose extend failed; see extend
         self.failed: set[tuple] = set()
+        # deepest level entered whose every candidate is unchosen, or -1
+        self.deepest_dead = -1
 
     def is_chosen(self, node: str) -> bool:
         return self.tc.assignment[node].verdict is Verdict.CHOSEN
@@ -289,10 +291,12 @@ class _PathSearch:
             for slot in chosen_slots:
                 yield (slot, StepKind.CHOSEN_MAX, None)
             return
+        dead_level = 0 if current is None else len(current) + 1
+        self.deepest_dead = max(self.deepest_dead, dead_level)
         for compensator in self.backward_compensators(current):
             for slot in slots:
                 yield (slot, StepKind.COMP_BACKWARD, compensator)
-        yield from self.forward_moves(current, 0 if current is None else len(current) + 1)
+        yield from self.forward_moves(current, dead_level)
 
     def extend(self, current: str | None) -> bool:
         """Push stages from ``current`` to the horizon, depth first.
@@ -327,7 +331,8 @@ def construct_path(tc: TreeChoice) -> PathTrace:
 
     Raises ``PreconditionViolatedError`` when no compensated path reaches
     the horizon (some dead step has neither a backward nor a forward
-    compensator on every alternative).
+    compensator on every alternative); its address is ``"level N"``, the
+    deepest dead level the search entered.
     """
     if ROOT not in tc.tree.nodes:
         raise EmptyTreeError("the tree has no root")
@@ -339,8 +344,12 @@ def construct_path(tc: TreeChoice) -> PathTrace:
             f"no node reaches the horizon {tc.tree.horizon}"
         )
     if not search.extend(None):
+        # every failed branch ends at a dead step, so some dead level was entered
+        level = search.deepest_dead
         raise PreconditionViolatedError(
-            "a dead step has no backward or forward compensator on any branch"
+            f"a dead step has no backward or forward compensator on any branch; "
+            f"the deepest dead level reached is {level}",
+            address=f"level {level}",
         )
     return PathTrace(stages=tuple(search.stages))
 

@@ -33,22 +33,37 @@ _RETRY_CAP = 1000
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+#: Fractions of ASCII ``"num/den"`` strings already read, keyed by the exact
+#: ``str``.  Only strings of at most ``_MEMO_CHARS`` characters enter, far
+#: below any int-string digit limit (at least 640), and a full memo takes no
+#: new entries.
+_MEMO: dict[str, Fraction] = {}
+_MEMO_CHARS = 32
+_MEMO_ENTRIES = 1024
+
 
 def as_rational(value) -> Fraction:
     """Coerce an int, a ``"num/den"`` string, or a Fraction to a Fraction.
 
     Floats are rejected: the core is exact end to end.  A ``str`` of ASCII
     digits, optionally followed by ``/`` and ASCII digits, is read with two
-    ``int`` calls.  Every other string (signs, spaces, ``_``, decimal
-    points, exponents, non-ASCII digits, an empty side of ``/``) falls
-    through to ``Fraction(str)``, so values and errors are the same either
-    way.
+    ``int`` calls, and a short one is remembered in ``_MEMO``; a failure is
+    never stored, so a bad string raises on every call.  Every other string
+    (signs, spaces, ``_``, decimal points, exponents, non-ASCII digits, an
+    empty side of ``/``) falls through to ``Fraction(str)``, so values and
+    errors are the same either way.
     """
     if type(value) is str:
+        known = _MEMO.get(value)
+        if known is not None:
+            return known
         # int() also takes signs, spaces and "_" (isdigit rejects them) and "١" (isascii does)
         num, slash, den = value.partition("/")
         if num.isascii() and num.isdigit() and (not slash or (den.isascii() and den.isdigit())):
-            return Fraction(int(num), int(den) if slash else 1)
+            known = Fraction(int(num), int(den) if slash else 1)
+            if len(value) <= _MEMO_CHARS and len(_MEMO) < _MEMO_ENTRIES:
+                _MEMO[value] = known
+            return known
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):

@@ -26,6 +26,7 @@ from neutrochoice import (
     verify_trace,
 )
 from neutrochoice import cli as cli_module
+from neutrochoice import triplet as triplet_module
 from neutrochoice.cli import COMMANDS, main
 from neutrochoice.documents import dumps_canonical, family_choice, report_from_json, tree_choice, zorn_family
 
@@ -578,6 +579,30 @@ def test_non_string_triplet_components_are_schema_errors(tmp_path, capsys, tripl
     ]
 
 
+def test_a_failed_find_path_names_its_dead_level(tmp_path, capsys):
+    doc = {
+        "kind": "tree",
+        "strings": ["000"],
+        "horizon": 3,
+        "assignment": {
+            "": ["6/10", "3/10", "1/10"],
+            "0": ["1/10", "6/10", "3/10"],
+            "00": ["6/10", "3/10", "1/10"],
+            "000": ["6/10", "3/10", "1/10"],
+        },
+    }
+    code, payload = run(capsys, "find-path", write_doc(tmp_path, "dead.json", doc))
+    assert code == 1
+    assert payload["diagnostics"] == [
+        {
+            "type": "PreconditionViolated",
+            "message": "a dead step has no backward or forward compensator on any branch; "
+            "the deepest dead level reached is 1",
+            "address": "level 1",
+        }
+    ]
+
+
 RNG = {"seed": 5, "denominator_bound": 10}
 ZORN_REPORT = {"maximal": [3], "successors": [
     {"member": member, "successor": 3, "provenance": "direct"} for member in range(3)
@@ -634,6 +659,23 @@ def _containers(value, found):
         for child in value.values() if isinstance(value, dict) else value:
             _containers(child, found)
     return found
+
+
+def test_outputs_do_not_depend_on_the_component_memo(tmp_path, capsys, monkeypatch):
+    runs = []
+    for command, seeds in SEED_DOCUMENTS.items():
+        flags = ["--count", "1"] if command == "enumerate-paths" else []
+        for n, doc in enumerate(seeds):
+            runs.append([command, write_doc(tmp_path, f"{command}-{n}.json", doc), *flags])
+    warm = 0
+    for argv in runs:
+        monkeypatch.setattr(triplet_module, "_MEMO", {})
+        main(argv)
+        cold = capsys.readouterr().out
+        warm += bool(triplet_module._MEMO)
+        main(argv)
+        assert capsys.readouterr().out == cold, argv
+    assert warm > len(runs) // 2  # most commands read triplet strings, so their second run hit the memo
 
 
 @st.composite

@@ -217,6 +217,10 @@ json_trees = st.recursive(
 @example(["\ud800", "\u00e9", "\U0001f600", "\x00\n\"\\"])
 @example(["a", 1, "b"])
 @example(["a", ["b"], ("c",)])
+@example({"p": ["a", 1], "q": ["a", True], "r": ["a", 1.0]})
+@example({"p": ["a", "1"], "q": ["a", 1], "r": ["a", True]})
+@example({"p": ["a", ["b"]], "q": ["a", ["b"]]})
+@example({"p": ["a", "b"], "q": {"r": ["a", "b"], "s": [{"t": ["a", "b"]}]}, "u": ("a", "b")})
 def test_dumps_canonical_writes_the_bytes_of_json_dumps(value):
     assert dumps_canonical(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
 
@@ -357,6 +361,27 @@ def test_repeated_invalid_triplet_reports_its_first_address(bad, message):
             validate_document(doc)
         assert str(info.value) == f"invalid triplet at assignment[0]['b']: {message}"
         assert info.value.address == "assignment[0]['b']"
+
+
+@pytest.mark.parametrize(
+    "later, message",
+    [
+        (dict.fromkeys(["6/10", "3/10", "1/10"]), "triplet must be a 3-item list"),
+        (("6/10", "3/10", "1/10"), "triplet must be a 3-item list"),
+        ([["1/2"], "1/3", "1/6"], "triplet components must be 'num/den' strings"),
+    ],
+    ids=["object-with-the-strings-as-keys", "tuple", "unhashable-item"],
+)
+def test_a_known_triplet_admits_only_an_equal_list(later, message):
+    # the first entry puts ("6/10", "3/10", "1/10") in validation's table of known triplets
+    doc = {
+        "kind": "family",
+        "sets": [["a", "b"]],
+        "assignment": [{"a": ["6/10", "3/10", "1/10"], "b": later}],
+    }
+    with pytest.raises(SchemaError) as info:
+        validate_document(doc)
+    assert (str(info.value), info.value.address) == (message, "assignment[0]['b']")
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

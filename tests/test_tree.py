@@ -269,6 +269,26 @@ def spurred_spine_choice(k: int):
     return build_tree_choice(tree, assignment)
 
 
+@pytest.mark.parametrize(
+    "build, level",
+    [
+        (lambda: spurred_spine_choice(9), 19),
+        (
+            lambda: build_tree_choice(
+                build_tree(["000"], 3), {"": CHOSEN_HI, "0": NOT_CHOSEN, "00": CHOSEN_HI, "000": CHOSEN_HI}
+            ),
+            1,
+        ),
+    ],
+    ids=["spurs-spent-before-the-last-dead-level", "first-dead-level"],
+)
+def test_a_failed_path_names_the_deepest_dead_level_reached(build, level):
+    with pytest.raises(PreconditionViolatedError) as info:
+        construct_path(build())
+    assert info.value.address == f"level {level}"
+    assert str(info.value).endswith(f"the deepest dead level reached is {level}")
+
+
 def test_construct_path_fails_fast_on_interchangeable_compensators():
     # every order of spending the k spurs fails the same way; a search that
     # retries each order takes about k! steps (34 s at k = 9)

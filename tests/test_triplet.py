@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -93,6 +94,51 @@ def test_as_rational_keeps_every_form_but_exponents():
     for text in ("75e-2", "0.75E0", "-1e-3000000", " 1E+2 "):
         with pytest.raises(ValueError, match="exponent notation is not accepted; use a 'num/den' string"):
             as_rational(text)
+
+
+@pytest.fixture
+def empty_memo(monkeypatch) -> dict:
+    """A fresh ``as_rational`` memo for one test; the process-wide one comes back after it."""
+    memo: dict = {}
+    monkeypatch.setattr(triplet_module, "_MEMO", memo)
+    return memo
+
+
+def test_as_rational_memo_stores_no_failure(empty_memo):
+    for _ in range(2):
+        with pytest.raises(ZeroDivisionError):
+            as_rational("1/0")
+    assert empty_memo == {}
+    assert as_rational("6/12") is as_rational("6/12") == Fraction(1, 2)
+    assert empty_memo == {"6/12": Fraction(1, 2)}
+
+
+def test_as_rational_memo_stays_within_its_bound(empty_memo):
+    for n in range(5000):
+        assert as_rational(f"{n}/5003") == Fraction(n, 5003)
+    assert len(empty_memo) == triplet_module._MEMO_ENTRIES
+    assert as_rational("4999/5003") == Fraction(4999, 5003)
+
+
+def test_as_rational_memo_never_stores_a_long_string(empty_memo):
+    long = "7" * 700 + "/3"
+    assert as_rational(long) == Fraction(int("7" * 700), 3)
+    assert empty_memo == {}
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:  # a lower digit limit applies to the string read before
+        with pytest.raises(ValueError, match="Exceeds the limit"):
+            as_rational(long)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_as_rational_memo_keys_on_exact_strings(empty_memo):
+    assert as_rational("1") == as_rational(1) == Fraction(1)
+    for value in (1.0, True):
+        with pytest.raises(TypeError):
+            as_rational(value)
+    assert list(empty_memo) == ["1"]
 
 
 def _rational_outcome(parse, text):
