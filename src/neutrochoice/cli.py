@@ -121,6 +121,9 @@ def _dispatch(args) -> dict:
         return docs.generate_assignment(_merged_rng_document(args))
 
     if command == "verify-report":
+        for flag in ("seed", "bound"):  # a report check draws nothing
+            if getattr(args, flag) is not None:
+                raise SchemaError(f"verify-report takes no --{flag}", address=flag)
         raw = docs.load_document(args.document)
         if "kind" not in raw and "input" in raw:
             # a find-maximal result file: the echoed input carries the family

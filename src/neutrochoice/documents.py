@@ -204,9 +204,7 @@ def _validate_tree(doc: dict) -> dict:
             raise SchemaError(f"strings[{i}] must be a binary string", address=f"strings[{i}]")
         if len(s) > horizon:
             raise SchemaError(f"strings[{i}] is longer than the horizon", address=f"strings[{i}]")
-    closure = sorted(
-        tree_mod.build_tree(strings, horizon).nodes, key=lambda n: (len(n), n)
-    )
+    closure = [node for nodes in tree_mod.build_tree(strings, horizon).levels.values() for node in nodes]
     out: dict = {"kind": "tree", "strings": closure, "horizon": horizon}
     if "assignment" in doc:
         table = doc["assignment"]

@@ -201,7 +201,8 @@ def allocate_compensators(choice: NeutroChoice) -> CompensationPlan:
     if not report.holds:
         raise PreconditionViolatedError(
             f"compensation property fails; uncompensatable sets: "
-            f"{list(report.uncompensatable)}"
+            f"{list(report.uncompensatable)}",
+            address=f"set {report.uncompensatable[0]}",
         )
     family = choice.family
     marks: list[tuple[int, Element]] = []

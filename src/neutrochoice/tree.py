@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -63,13 +64,36 @@ class Tree:
     nodes: frozenset[str]
     horizon: int
 
-    def levels(self) -> dict[int, list[str]]:
-        """Nodes grouped by level in ascending level order, each group
-        sorted lexicographically."""
+    # The index below is built on first read and is not a field, so ``==``,
+    # hash and repr ignore it.
+
+    @cached_property
+    def levels(self) -> dict[int, tuple[str, ...]]:
+        """``levels[m]``: the level-``m`` nodes in lexicographic order, levels
+        ascending; the one canonical order of the tree's nodes."""
         grouped: dict[int, list[str]] = {}
         for node in sorted(self.nodes, key=lambda n: (len(n), n)):
             grouped.setdefault(len(node), []).append(node)
-        return grouped
+        return {level: tuple(nodes) for level, nodes in grouped.items()}
+
+    @cached_property
+    def reach(self) -> dict[str, int]:
+        """``reach[node]``: the greatest level reachable from ``node``, filled
+        bottom-up through its children."""
+        reach: dict[str, int] = {}
+        for level, nodes in reversed(self.levels.items()):
+            for node in nodes:
+                reach[node] = max(level, reach.get(node + "0", 0), reach.get(node + "1", 0))
+        return reach
+
+    def candidates(self, node: str | None) -> list[str]:
+        """Full-extension successors of ``node``; of ``None``, the root."""
+        if node is None:
+            return [ROOT] if self.reach.get(ROOT) == self.horizon else []
+        # reach holds tree nodes only, so an absent child reads as None
+        return [
+            child for child in (node + "0", node + "1") if self.reach.get(child) == self.horizon
+        ]
 
 
 @dataclass(frozen=True)
@@ -81,6 +105,9 @@ class TreeChoice:
 
     def p_chosen(self, node: str):
         return self.assignment[node].p_chosen
+
+    def is_chosen(self, node: str) -> bool:
+        return self.assignment[node].verdict is Verdict.CHOSEN
 
 
 @dataclass(frozen=True)
@@ -123,7 +150,7 @@ def build_tree(strings: Iterable[str], horizon: int) -> Tree:
 
 def build_tree_choice(tree: Tree, triplets) -> TreeChoice:
     """Attach a validated, total triplet assignment to a tree."""
-    keys = sorted(tree.nodes, key=lambda n: (len(n), n))
+    keys = [node for nodes in tree.levels.values() for node in nodes]
     assignment = triplet_table(keys, triplets, lambda node: (f"node {node!r}", node))
     return TreeChoice(tree=tree, assignment=assignment)
 
@@ -166,59 +193,27 @@ def forward_tracking(tree: Tree, node: str) -> set[str]:
 
 def dead_levels(tc: TreeChoice) -> list[int]:
     """Levels that contain nodes but no chosen node, ascending."""
-    dead = []
-    for lvl, nodes in tc.tree.levels().items():
-        if not any(tc.assignment[n].verdict is Verdict.CHOSEN for n in nodes):
-            dead.append(lvl)
-    return dead
+    return [lvl for lvl, nodes in tc.tree.levels.items() if not any(map(tc.is_chosen, nodes))]
 
 
 def extension_depth(tree: Tree, node: str) -> int:
     """Greatest level reachable from ``node`` (including the node itself)."""
     _require_node(tree, node)
-    deepest = len(node)
-    for other in tree.nodes:
-        if other.startswith(node) and len(other) > deepest:
-            deepest = len(other)
-    return deepest
+    return tree.reach[node]
 
 
 class _PathSearch:
-    """Per-tree index (reach depths, levels, verdicts) and the depth-first
-    stage construction over it, with compensator marking."""
+    """The depth-first stage construction over a tree's index, with
+    compensator marking; it holds search state only."""
 
     def __init__(self, tc: TreeChoice):
         self.tc = tc
-        self.horizon = tc.tree.horizon
-        self.by_level = tc.tree.levels()
-        # greatest reachable level per node, filled bottom-up
-        self.reach: dict[str, int] = {}
-        for level, nodes in reversed(self.by_level.items()):
-            for node in nodes:
-                self.reach[node] = max(
-                    level, self.reach.get(node + "0", 0), self.reach.get(node + "1", 0)
-                )
-        self.max_level = max(self.by_level) if self.by_level else 0
         self.marked: set[str] = set()
         self.stages: list[Stage] = []
         # (current, marks) pairs whose extend failed; see extend
         self.failed: set[tuple] = set()
         # deepest level entered whose every candidate is unchosen, or -1
         self.deepest_dead = -1
-
-    def is_chosen(self, node: str) -> bool:
-        return self.tc.assignment[node].verdict is Verdict.CHOSEN
-
-    def candidates(self, current: str | None) -> list[str]:
-        """Enterable nodes for the next stage: full-extension successors."""
-        if current is None:
-            return [ROOT] if self.reach.get(ROOT) == self.horizon else []
-        # reach holds tree nodes only, so an absent child reads as None
-        return [
-            child
-            for child in (current + "0", current + "1")
-            if self.reach.get(child) == self.horizon
-        ]
 
     def backward_compensators(self, current: str | None) -> Iterator[str]:
         """Unmarked chosen nodes beside a chosen node already on the path.
@@ -230,18 +225,18 @@ class _PathSearch:
         """
         if current is None:
             return
-        pc = self.tc.p_chosen
+        pc, chosen, levels = self.tc.p_chosen, self.tc.is_chosen, self.tc.tree.levels
         for m in range(len(current) + 1):
             witness = current[:m]
-            if not self.is_chosen(witness):
+            if not chosen(witness):
                 continue
             bar = pc(witness)
             beside = [
                 node
-                for node in self.by_level.get(m, ())
+                for node in levels.get(m, ())
                 if node != witness
                 and node not in self.marked
-                and self.is_chosen(node)
+                and chosen(node)
                 and pc(node) < bar
             ]
             beside.sort(key=pc, reverse=True)
@@ -255,22 +250,21 @@ class _PathSearch:
         level, then lexicographically; equal-length distinct strings are
         always incompatible.  Every scanned level lies past the dead level,
         so no scanned node is ``current`` itself; at the root the dead level
-        is 0 and the slot ``high[:0]`` is ``ROOT``.
+        is 0 and the slot ``high[:0]`` is ``ROOT``.  A level past the horizon
+        is not scanned: every slot above it reaches past the horizon.
         """
         seen: set[tuple] = set()
-        pc = self.tc.p_chosen
+        pc, chosen, tree = self.tc.p_chosen, self.tc.is_chosen, self.tc.tree
         base = current or ROOT
-        for m in range(dead_level + 1, self.max_level + 1):
-            extensions = [
-                node for node in self.by_level.get(m, ()) if node.startswith(base) and self.is_chosen(node)
-            ]
+        for m in range(dead_level + 1, tree.horizon + 1):
+            extensions = [node for node in tree.levels.get(m, ()) if node.startswith(base) and chosen(node)]
             for first, second in itertools.combinations(extensions, 2):
                 # first < second, so a tie leaves first as the lower member
                 low, high = (second, first) if pc(second) < pc(first) else (first, second)
                 if low in self.marked:
                     continue
                 slot = high[:dead_level]
-                if self.reach.get(slot) != self.horizon:
+                if tree.reach.get(slot) != tree.horizon:
                     continue
                 key = (slot, low)
                 if key in seen:
@@ -285,8 +279,8 @@ class _PathSearch:
         move generated late sees the same marks as one generated first.
         """
         # empty only at a root that misses the horizon, where every branch below yields nothing
-        slots = sorted(self.candidates(current), key=self.tc.p_chosen, reverse=True)
-        chosen_slots = [s for s in slots if self.is_chosen(s)]
+        slots = sorted(self.tc.tree.candidates(current), key=self.tc.p_chosen, reverse=True)
+        chosen_slots = [s for s in slots if self.tc.is_chosen(s)]
         if chosen_slots:
             for slot in chosen_slots:
                 yield (slot, StepKind.CHOSEN_MAX, None)
@@ -307,7 +301,7 @@ class _PathSearch:
         compensators are retried in every order.  The key is built only
         once some call has failed.
         """
-        if current is not None and len(current) == self.horizon:
+        if current is not None and len(current) == self.tc.tree.horizon:
             return True
         if self.failed and (current, frozenset(self.marked)) in self.failed:
             return False
@@ -334,15 +328,14 @@ def construct_path(tc: TreeChoice) -> PathTrace:
     compensator on every alternative); its address is ``"level N"``, the
     deepest dead level the search entered.
     """
-    if ROOT not in tc.tree.nodes:
+    tree = tc.tree
+    if ROOT not in tree.nodes:
         raise EmptyTreeError("the tree has no root")
-    if tc.tree.horizon < 1:
+    if tree.horizon < 1:
         raise PreconditionViolatedError("horizon must be at least 1")
+    if tree.reach[ROOT] < tree.horizon:
+        raise PreconditionViolatedError(f"no node reaches the horizon {tree.horizon}", address="horizon")
     search = _PathSearch(tc)
-    if search.reach.get(ROOT, 0) < tc.tree.horizon:
-        raise PreconditionViolatedError(
-            f"no node reaches the horizon {tc.tree.horizon}"
-        )
     if not search.extend(None):
         # every failed branch ends at a dead step, so some dead level was entered
         level = search.deepest_dead
@@ -364,29 +357,24 @@ def enumerate_paths(tc: TreeChoice, count: int) -> list[PathTrace]:
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
-    if ROOT not in tc.tree.nodes:
+    tree = tc.tree
+    if ROOT not in tree.nodes:
         raise EmptyTreeError("the tree has no root")
-    search = _PathSearch(tc)
-    frontier = [node for node in search.candidates(None) if search.is_chosen(node)]
+    frontier = [node for node in tree.candidates(None) if tc.is_chosen(node)]
     level = 0
     # children of a sorted level, taken in order, are again sorted
-    while frontier and level < search.horizon:
-        frontier = [
-            child
-            for node in frontier
-            for child in search.candidates(node)
-            if search.is_chosen(child)
-        ]
+    while frontier and level < tree.horizon:
+        frontier = [child for node in frontier for child in tree.candidates(node) if tc.is_chosen(child)]
         level += 1
     if len(frontier) < count:
         raise InsufficientBranchingError(
-            f"only {len(frontier)} full-depth chosen paths exist, {count} requested"
+            f"only {len(frontier)} full-depth chosen paths exist, {count} requested", address="count"
         )
     traces = []
     for leaf in frontier[:count]:
         stages = tuple(
             Stage(index=s, node=leaf[:s], kind=StepKind.CHOSEN_MAX, compensator=None)
-            for s in range(search.horizon + 1)
+            for s in range(tree.horizon + 1)
         )
         traces.append(PathTrace(stages=stages))
     return traces
@@ -400,13 +388,13 @@ def verify_trace(tc: TreeChoice, trace: PathTrace) -> bool:
     chosen-max stage must enter a chosen node, so every dead level of the
     tree is entered through a compensated stage.
     """
-    search = _PathSearch(tc)
-    horizon = search.horizon
+    tree = tc.tree
+    horizon = tree.horizon
     stages = trace.stages
     if len(stages) != horizon + 1:
         return False
     for s, stage in enumerate(stages):
-        if stage.index != s or search.reach.get(stage.node) != horizon or len(stage.node) != s:
+        if stage.index != s or tree.reach.get(stage.node) != horizon or len(stage.node) != s:
             return False
         if s > 0 and stage.node[:-1] != stages[s - 1].node:
             return False
@@ -415,7 +403,7 @@ def verify_trace(tc: TreeChoice, trace: PathTrace) -> bool:
     if len(compensators) != len(set(compensators)):
         return False
 
-    chosen = search.is_chosen
+    chosen = tc.is_chosen
     pc = tc.p_chosen
     for s, stage in enumerate(stages):
         parent = stages[s - 1].node if s > 0 else None
@@ -424,10 +412,10 @@ def verify_trace(tc: TreeChoice, trace: PathTrace) -> bool:
                 return False
             continue
         # Compensated stages require a genuinely dead step.
-        if any(chosen(n) for n in search.candidates(parent)) or stage.compensator is None:
+        if any(chosen(n) for n in tree.candidates(parent)) or stage.compensator is None:
             return False
         comp = stage.compensator
-        if comp not in tc.tree.nodes or not chosen(comp):
+        if comp not in tree.nodes or not chosen(comp):
             return False
         if stage.kind is StepKind.COMP_BACKWARD:
             m = len(comp)
@@ -445,7 +433,7 @@ def verify_trace(tc: TreeChoice, trace: PathTrace) -> bool:
             rank = (pc(comp), comp)
             if not any(
                 other.startswith(stage.node) and chosen(other) and (pc(other), other) > rank
-                for other in search.by_level[len(comp)]
+                for other in tree.levels[len(comp)]
             ):
                 return False
         else:

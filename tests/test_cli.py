@@ -4,6 +4,7 @@ import argparse
 import ast
 import contextlib
 import copy
+import functools
 import importlib.util
 import io
 import json
@@ -21,6 +22,7 @@ from neutrochoice import (
     PathTrace,
     Stage,
     StepKind,
+    Tree,
     verify_plan,
     verify_report,
     verify_trace,
@@ -237,6 +239,16 @@ def test_verify_report_requires_every_member_exactly_once(tmp_path, capsys, repo
     code, payload = run(capsys, "verify-report", write_doc(tmp_path, "zorn.json", doc))
     assert code == 0
     assert payload["outputs"] == {"valid": valid}
+
+
+@pytest.mark.parametrize("flag, address", [("--seed=3", "seed"), ("--bound=2", "bound")])
+def test_verify_report_rejects_the_rng_flags(tmp_path, capsys, flag, address):
+    # a report check draws nothing, so an rng flag would be silently ignored
+    doc = {**ZORN, "report": {"maximal": [3], "successors": []}}
+    code, payload = run(capsys, "verify-report", write_doc(tmp_path, "zorn.json", doc), flag)
+    assert code == 2
+    (diag,) = payload["diagnostics"]
+    assert (diag["type"], diag["address"]) == ("SchemaError", address)
 
 
 def test_generate_assignment_roundtrip(tmp_path, capsys):
@@ -471,6 +483,74 @@ def test_enumerate_paths_stops_at_an_unreachable_horizon(tmp_path, capsys):
     assert payload["diagnostics"][0]["type"] == "InsufficientBranching"
 
 
+STARVED_FAMILY = {
+    "kind": "family",
+    "sets": [["a", "b"], ["c"], ["d"]],
+    "assignment": [
+        {"a": ["6/10", "3/10", "1/10"], "b": ["5/10", "3/10", "2/10"]},
+        {"c": ["1/10", "7/10", "2/10"]},
+        {"d": ["1/10", "7/10", "2/10"]},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "doc, argv, kind, address",
+    [
+        # set 0 offers one element, which serves set 1; set 2 is the first left over
+        (STARVED_FAMILY, ["allocate"], "PreconditionViolated", "set 2"),
+        (CHAIN_TREE, ["find-path", "--horizon=3"], "PreconditionViolated", "horizon"),
+        (CHAIN_TREE, ["enumerate-paths", "--count=2"], "InsufficientBranching", "count"),
+    ],
+    ids=["allocate", "find-path", "enumerate-paths"],
+)
+def test_operation_failures_name_their_address(tmp_path, capsys, doc, argv, kind, address):
+    command, *flags = argv
+    code, payload = run(capsys, command, write_doc(tmp_path, "doc.json", doc), *flags)
+    assert code == 1
+    (diag,) = payload["diagnostics"]
+    assert (diag["type"], diag["address"]) == (kind, address)
+
+
+#: Level 2 is dead under the preferred ``0``, so find-path compensates with
+#: ``1``; ``11`` is the one chosen path enumerate-paths finds.
+COMPENSATED_TREE = {
+    "kind": "tree",
+    "strings": ["00", "01", "10", "11"],
+    "horizon": 2,
+    "assignment": {
+        "": ["6/10", "3/10", "1/10"],
+        "0": ["6/10", "3/10", "1/10"],
+        "1": ["5/10", "3/10", "2/10"],
+        "00": ["1/10", "7/10", "2/10"],
+        "01": ["1/10", "7/10", "2/10"],
+        "10": ["1/10", "7/10", "2/10"],
+        "11": ["5/10", "3/10", "2/10"],
+    },
+}
+
+
+def test_each_tree_builds_its_levels_once(tmp_path, capsys, monkeypatch):
+    built = []
+    levels = Tree.levels.func
+
+    def counted(tree):
+        built.append(tree)
+        return levels(tree)
+
+    counting = functools.cached_property(counted)
+    counting.__set_name__(Tree, "levels")
+    monkeypatch.setattr(Tree, "levels", counting)
+    path = write_doc(tmp_path, "tree.json", COMPENSATED_TREE)
+    for argv, output in ((["find-path", path], "trace"), (["enumerate-paths", path, "--count=1"], "traces")):
+        built.clear()
+        code, payload = run(capsys, *argv)
+        assert code == 0 and output in payload["outputs"]
+        # validation's tree and the builder's, each indexed once
+        assert len(built) == 2 and built[0] is not built[1]
+    assert payload["outputs"]["traces"][0]["final_path"] == "11"
+
+
 def test_every_bench_span_hook_resolves():
     # bench/spans.py wraps these attributes by name and fails on a missing one
     spans_path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -549,6 +629,18 @@ def test_error_text_is_formatted_only_where_it_is_used():
             if isinstance(node, ast.JoinedStr) and id(node) not in lazy
         ]
     assert eager == []
+
+
+def test_only_construct_path_runs_the_path_search():
+    # the verifier and the enumerator read the tree's index, not the search engine
+    package = Path(__file__).resolve().parents[1] / "src" / "neutrochoice"
+    users = [
+        f"{path.name}: {getattr(statement, 'name', type(statement).__name__)}"
+        for path in sorted(package.glob("*.py"))
+        for statement in ast.parse(path.read_text()).body
+        if getattr(statement, "name", None) != "_PathSearch" and "_PathSearch" in _referenced_names(statement)
+    ]
+    assert users == ["tree.py: construct_path"]
 
 
 def test_oracles_share_no_fan_table_with_the_library():

@@ -168,6 +168,18 @@ def test_extension_depth():
         extension_depth(chain, "0")
 
 
+@given(st.lists(bits, max_size=8))
+def test_the_tree_index_matches_a_brute_force_build(strings):
+    tree = build_tree(strings, 6)
+    ordered = sorted(tree.nodes, key=lambda n: (len(n), n))
+    # dict equality ignores key order, so the items are compared as a list
+    assert list(tree.levels.items()) == [(level, tuple(group)) for level, group in itertools.groupby(ordered, key=len)]
+    assert tree.reach.keys() == tree.nodes
+    for node in tree.nodes:
+        deepest = max(len(other) for other in tree.nodes if other.startswith(node))
+        assert tree.reach[node] == extension_depth(tree, node) == deepest
+
+
 def test_build_tree_choice_requires_totality():
     tree = build_tree(["0"], 1)
     with pytest.raises(MissingAssignmentError):
