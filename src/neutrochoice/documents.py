@@ -16,6 +16,7 @@ import math
 import random
 import re
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _escape
 from typing import Any, Callable
 
@@ -131,6 +132,29 @@ def _canonical_triplet(raw: Any, where: Callable[[], str], canonical: dict[tuple
     return strings
 
 
+class _Canonical(dict):
+    """A canonical document, carrying the structure its validation built as
+    the attribute ``built`` (a tree document's ``Tree``, a zorn document's
+    ``ZornFamily``), not as a key: it serializes and compares as the plain
+    dict.  ``tree_choice`` and ``zorn_family`` take ``built`` off the
+    document and use it only if it equals what they would build from the
+    document's keys, so an edited document never yields a stale structure."""
+
+    def __init__(self, items: dict, built: tree_mod.Tree | ZornFamily | None = None) -> None:
+        super().__init__(items)
+        self.built = built
+
+
+def _take_built(doc: dict) -> tree_mod.Tree | ZornFamily | None:
+    """Take the structure validation built off ``doc`` (None from a plain
+    dict): it then lives as long as the command that runs on it, not while
+    the result, which echoes the document, is written."""
+    built = getattr(doc, "built", None)
+    if built is not None:
+        doc.built = None
+    return built
+
+
 def _is_int(value: Any) -> bool:
     """True for a JSON integer; ``bool`` subclasses ``int`` but is not one."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -163,7 +187,7 @@ def _validate_family(doc: dict) -> dict:
         if len(set(raw_set)) != len(raw_set):
             raise SchemaError(f"set {i} lists a duplicate element", address=f"sets[{i}]")
         out_sets.append(list(raw_set))
-    out: dict = {"kind": "family", "sets": out_sets}
+    out = _Canonical({"kind": "family", "sets": out_sets})
     if "assignment" in doc:
         assignment = doc["assignment"]
         if not (isinstance(assignment, list) and len(assignment) == len(out_sets)):
@@ -204,8 +228,9 @@ def _validate_tree(doc: dict) -> dict:
             raise SchemaError(f"strings[{i}] must be a binary string", address=f"strings[{i}]")
         if len(s) > horizon:
             raise SchemaError(f"strings[{i}] is longer than the horizon", address=f"strings[{i}]")
-    closure = [node for nodes in tree_mod.build_tree(strings, horizon).levels.values() for node in nodes]
-    out: dict = {"kind": "tree", "strings": closure, "horizon": horizon}
+    tree = tree_mod.build_tree(strings, horizon)
+    closure = list(chain.from_iterable(tree.levels.values()))
+    out = _Canonical({"kind": "tree", "strings": closure, "horizon": horizon}, tree)
     if "assignment" in doc:
         table = doc["assignment"]
         if not isinstance(table, dict):
@@ -237,15 +262,17 @@ def _validate_zorn(doc: dict) -> dict:
         if len(set(raw)) != len(raw):
             raise SchemaError(f"members[{i}] lists a duplicate element", address=f"members[{i}]")
         out_members.append(sorted(raw))
-    if len({frozenset(m) for m in out_members}) != len(out_members):
+    members = tuple(frozenset(m) for m in out_members)
+    if len(set(members)) != len(members):
         raise SchemaError("members must be distinct as sets", address="members")
-    out: dict = {"kind": "zorn", "members": out_members}
+    family = ZornFamily(members=members)
+    out = _Canonical({"kind": "zorn", "members": out_members}, family)
     if "fan_triplets" in doc:
         raw_table = doc["fan_triplets"]
         if not isinstance(raw_table, list):
             raise SchemaError("fan_triplets must be a list", address="fan_triplets")
         # fan order; each slot holds its pair's triplet once one is read
-        slots: dict[tuple[int, int], list[str] | None] = dict.fromkeys(zorn_mod.fan_pairs(zorn_family(out)))
+        slots: dict[tuple[int, int], list[str] | None] = dict.fromkeys(zorn_mod.fan_pairs(family))
         canonical: dict = {}
         for i, record in enumerate(raw_table):
             if not isinstance(record, dict):
@@ -284,7 +311,8 @@ def validate_document(doc: dict) -> dict:
     Canonical means: triplets in lowest terms, tree strings closed under
     prefixes and sorted, zorn members element-sorted, fan tables in fan
     order.  Exactly one of an explicit table or an ``rng`` block must be
-    present.
+    present.  The result also carries the tree or inclusion family that
+    validation built (see ``_Canonical``), which the builders below take.
     """
     kind = doc.get("kind")
     if kind not in KINDS:
@@ -320,7 +348,7 @@ def generate_assignment(doc: dict) -> dict:
     def draw() -> list[str]:
         return random_triplet(rng, denominator_bound).serialize()
 
-    out = {key: value for key, value in doc.items() if key != "rng"}
+    out = _Canonical({key: value for key, value in doc.items() if key != "rng"}, doc.built)
     if doc["kind"] == "family":
         out["assignment"] = [
             {element: draw() for element in raw_set} for raw_set in doc["sets"]
@@ -349,17 +377,33 @@ def family_choice(doc: dict) -> NeutroChoice:
 
 
 def tree_choice(doc: dict, horizon_override: int | None = None) -> tree_mod.TreeChoice:
-    """Build the core tree-choice object from a canonical tree document."""
+    """Build the core tree-choice object from a canonical tree document.
+
+    The tree is validation's while it has the horizon in use and the
+    document's strings are still its nodes in canonical order; another
+    horizon builds a new tree, which checks the depth of every string.
+    """
     horizon = horizon_override if horizon_override is not None else doc["horizon"]
-    built = tree_mod.build_tree(doc["strings"], horizon)
+    built = _take_built(doc)
+    if not (
+        isinstance(built, tree_mod.Tree)
+        and built.horizon == horizon
+        and list(chain.from_iterable(built.levels.values())) == doc["strings"]
+    ):
+        built = tree_mod.build_tree(doc["strings"], horizon)
     read = _reader()
     triplets = {node: read(values) for node, values in doc["assignment"].items()}
     return tree_mod.build_tree_choice(built, triplets)
 
 
 def zorn_family(doc: dict) -> ZornFamily:
-    """Build the inclusion family of a zorn document's ``members`` list."""
-    return ZornFamily(members=tuple(frozenset(m) for m in doc["members"]))
+    """The inclusion family of a zorn document's ``members`` list: the one
+    validation built, with its fan table, while its members are still those."""
+    members = tuple(frozenset(m) for m in doc["members"])
+    built = _take_built(doc)
+    if isinstance(built, ZornFamily) and built.members == members:
+        return built
+    return ZornFamily(members=members)
 
 
 def zorn_inputs(doc: dict) -> tuple[ZornFamily, dict]:

@@ -72,7 +72,8 @@ class Tree:
         """``levels[m]``: the level-``m`` nodes in lexicographic order, levels
         ascending; the one canonical order of the tree's nodes."""
         grouped: dict[int, list[str]] = {}
-        for node in sorted(self.nodes, key=lambda n: (len(n), n)):
+        # the sort by length is stable, so each level keeps lexicographic order
+        for node in sorted(sorted(self.nodes), key=len):
             grouped.setdefault(len(node), []).append(node)
         return {level: tuple(nodes) for level, nodes in grouped.items()}
 

@@ -23,11 +23,14 @@ from neutrochoice import (
     Stage,
     StepKind,
     Tree,
+    ZornFamily,
     verify_plan,
     verify_report,
     verify_trace,
 )
 from neutrochoice import cli as cli_module
+from neutrochoice import documents
+from neutrochoice import tree as tree_module
 from neutrochoice import triplet as triplet_module
 from neutrochoice.cli import COMMANDS, main
 from neutrochoice.documents import dumps_canonical, family_choice, report_from_json, tree_choice, zorn_family
@@ -530,25 +533,54 @@ COMPENSATED_TREE = {
 }
 
 
-def test_each_tree_builds_its_levels_once(tmp_path, capsys, monkeypatch):
-    built = []
-    levels = Tree.levels.func
+def count_tree_builds(monkeypatch) -> tuple[list, list]:
+    """Record every tree ``build_tree`` returns, and every tree whose
+    ``levels`` index is built, in order."""
+    built, indexed = [], []
+    build_tree, levels = tree_module.build_tree, Tree.levels.func
 
-    def counted(tree):
-        built.append(tree)
+    def counted_build(*args):
+        built.append(build_tree(*args))
+        return built[-1]
+
+    def counted_levels(tree):
+        indexed.append(tree)
         return levels(tree)
 
-    counting = functools.cached_property(counted)
+    counting = functools.cached_property(counted_levels)
     counting.__set_name__(Tree, "levels")
     monkeypatch.setattr(Tree, "levels", counting)
+    monkeypatch.setattr(tree_module, "build_tree", counted_build)
+    return built, indexed
+
+
+def test_each_tree_builds_its_levels_once(tmp_path, capsys, monkeypatch):
+    built, indexed = count_tree_builds(monkeypatch)
     path = write_doc(tmp_path, "tree.json", COMPENSATED_TREE)
-    for argv, output in ((["find-path", path], "trace"), (["enumerate-paths", path, "--count=1"], "traces")):
-        built.clear()
+    runs = (
+        (["find-path", path], "trace"),
+        (["find-path", path, "--horizon=2"], "trace"),  # the document's own horizon
+        (["enumerate-paths", path, "--count=1"], "traces"),
+    )
+    for argv, output in runs:
+        built.clear(), indexed.clear()
         code, payload = run(capsys, *argv)
         assert code == 0 and output in payload["outputs"]
-        # validation's tree and the builder's, each indexed once
-        assert len(built) == 2 and built[0] is not built[1]
+        # the command runs on validation's tree, which is built and indexed once
+        assert len(built) == 1 and indexed == built
     assert payload["outputs"]["traces"][0]["final_path"] == "11"
+
+    # another horizon builds a new tree, and its reach decides the outcome
+    built.clear(), indexed.clear()
+    code, payload = run(capsys, "find-path", path, "--horizon=3")
+    assert [tree.horizon for tree in built] == [2, 3] and indexed == built
+    assert code == 1 and payload["diagnostics"][0]["address"] == "horizon"
+
+    # a horizon below the document's strings fails the new tree's depth check
+    built.clear()
+    code, payload = run(capsys, "find-path", path, "--horizon", "1")
+    assert [tree.horizon for tree in built] == [2]
+    assert code == 1 and payload["diagnostics"][0]["type"] == "DepthExceeded"
 
 
 def test_every_bench_span_hook_resolves():
@@ -753,12 +785,18 @@ def _containers(value, found):
     return found
 
 
-def test_outputs_do_not_depend_on_the_component_memo(tmp_path, capsys, monkeypatch):
+def seed_runs(tmp_path) -> list[list[str]]:
+    """One argv per command and seed document, each document written once."""
     runs = []
     for command, seeds in SEED_DOCUMENTS.items():
         flags = ["--count", "1"] if command == "enumerate-paths" else []
         for n, doc in enumerate(seeds):
             runs.append([command, write_doc(tmp_path, f"{command}-{n}.json", doc), *flags])
+    return runs
+
+
+def test_outputs_do_not_depend_on_the_component_memo(tmp_path, capsys, monkeypatch):
+    runs = seed_runs(tmp_path)
     warm = 0
     for argv in runs:
         monkeypatch.setattr(triplet_module, "_MEMO", {})
@@ -768,6 +806,63 @@ def test_outputs_do_not_depend_on_the_component_memo(tmp_path, capsys, monkeypat
         main(argv)
         assert capsys.readouterr().out == cold, argv
     assert warm > len(runs) // 2  # most commands read triplet strings, so their second run hit the memo
+
+
+def count_fan_builds(monkeypatch) -> list:
+    """Record every family whose ``ZornFamily.fans`` table is built."""
+    built = []
+    fans = ZornFamily.fans.func
+
+    def counted(family):
+        built.append(family)
+        return fans(family)
+
+    counting = functools.cached_property(counted)
+    counting.__set_name__(ZornFamily, "fans")
+    monkeypatch.setattr(ZornFamily, "fans", counting)
+    return built
+
+
+@pytest.mark.parametrize(
+    "command, doc, builds",
+    [
+        ("find-maximal", ZORN, 1),
+        # generation draws over the table that find-maximal then reads
+        ("find-maximal", {**ZORN_SEEDS[1], "rng": {"seed": 12, "denominator_bound": 10}}, 1),
+        ("verify-report", {**ZORN, "report": ZORN_REPORT}, 1),  # validation's; the check reads none
+        ("verify-report", {"input": ZORN_SEEDS[1], "outputs": {"report": ZORN_REPORT}}, 0),
+    ],
+    ids=["find-maximal", "find-maximal-rng", "verify-report", "verify-report-rng"],
+)
+def test_each_inclusion_family_builds_its_fan_table_once(tmp_path, capsys, monkeypatch, command, doc, builds):
+    built = count_fan_builds(monkeypatch)
+    code, payload = run(capsys, command, write_doc(tmp_path, "zorn.json", doc))
+    assert code == 0 and payload["outputs"]
+    assert len(built) == builds
+
+
+def test_outputs_do_not_depend_on_the_handed_over_structure(tmp_path, capsys, monkeypatch):
+    runs = seed_runs(tmp_path) + [
+        ["find-path", write_doc(tmp_path, "compensated.json", COMPENSATED_TREE), flag] for flag in ("--horizon=2", "--horizon=3")
+    ]
+    fans = count_fan_builds(monkeypatch)
+
+    def outputs() -> list[tuple[str, int]]:
+        found = []
+        for argv in runs:
+            fans.clear()
+            main(argv)
+            found.append((capsys.readouterr().out, len(fans)))
+        return found
+
+    shared = outputs()
+    # as if every canonical document were a plain dict: each structure is built afresh
+    monkeypatch.setattr(documents._Canonical, "built", property(lambda doc: None, lambda doc, value: None), raising=False)
+    fresh = outputs()
+    assert [out for out, _ in shared] == [out for out, _ in fresh]
+    # only the two find-maximal runs build a table twice without the hand-over
+    changed = [(argv[0], builds, fresh_builds) for argv, (_, builds), (_, fresh_builds) in zip(runs, shared, fresh) if builds != fresh_builds]
+    assert changed == [("find-maximal", 1, 2)] * 2
 
 
 @st.composite

@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import json
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from neutrochoice import BoundTooSmallError, ParseError, SchemaError, Verdict, classify, parse_triplet
+from neutrochoice import BoundTooSmallError, NeutroChoiceError, ParseError, SchemaError, Verdict, classify, parse_triplet
 from neutrochoice import documents, zorn
 from neutrochoice.documents import (
     dumps_canonical,
@@ -261,6 +262,89 @@ def test_generate_assignment_computes_the_fan_pairs_once(monkeypatch):
     generated = generate_assignment({"kind": "zorn", "members": ZORN_DOC["members"], "rng": {"seed": 1, "denominator_bound": 10}})
     assert len(calls) == 1
     assert [(r["member"], r["entry"]) for r in generated["fan_triplets"]] == [(0, 1), (0, 2), (1, 2)]
+
+
+TREE_RNG_DOC = {"kind": "tree", "strings": ["00", "01", "1"], "horizon": 2, "rng": {"seed": 3, "denominator_bound": 10}}
+ZORN_RNG_DOC = {"kind": "zorn", "members": ZORN_DOC["members"], "rng": {"seed": 3, "denominator_bound": 10}}
+
+
+@pytest.mark.parametrize(
+    "prepare, doc, build",
+    [
+        (validate_document, TREE_DOC, tree_choice),
+        (generate_assignment, TREE_RNG_DOC, tree_choice),
+        (validate_document, ZORN_DOC, zorn_inputs),
+        (generate_assignment, ZORN_RNG_DOC, zorn_inputs),
+    ],
+    ids=["tree", "tree-rng", "zorn", "zorn-rng"],
+)
+def test_a_canonical_document_builds_as_its_json_copy(prepare, doc, build):
+    canonical = prepare(doc)
+    # the structure validation hands over is no key, so the copy drops it
+    copy = json.loads(json.dumps(canonical))
+    assert canonical == copy and dumps_canonical(canonical) == dumps_canonical(copy)
+    assert build(canonical) == build(copy)
+    assert build(canonical) == build(copy)  # the second build, after the first took the structure
+
+
+@pytest.mark.parametrize(
+    "doc, structure",
+    [(TREE_DOC, lambda doc: tree_choice(doc).tree), (ZORN_DOC, lambda doc: zorn_inputs(doc)[0])],
+    ids=["tree", "zorn"],
+)
+def test_a_document_lets_go_of_the_structure_it_handed_over(doc, structure):
+    canonical = validate_document(doc)
+    handed_over = weakref.ref(structure(canonical))
+    # the CLI writes the document into its result, so it must not keep the structure alive meanwhile
+    assert handed_over() is None
+
+
+def edited_outcome(build, doc, edit):
+    """``build``'s result, or its error's type and text, on ``doc`` after ``edit``."""
+    edit(doc)
+    try:
+        return build(doc)
+    except NeutroChoiceError as exc:
+        return type(exc), str(exc)
+
+
+BUSHY_TREE = {
+    "kind": "tree",
+    "strings": ["00", "01", "10", "11"],
+    "horizon": 2,
+    "assignment": {node: ["6/10", "3/10", "1/10"] for node in ["", "0", "1", "00", "01", "10", "11"]},
+}
+
+
+def _set(key, value):
+    return lambda doc: doc.__setitem__(key, value)
+
+
+@pytest.mark.parametrize(
+    "doc, build, edit",
+    [
+        (BUSHY_TREE, tree_choice, _set("strings", ["", "0", "1", "00", "01", "10"])),
+        (BUSHY_TREE, tree_choice, _set("strings", ["", "0", "1", "00", "01", "10", "11", "111"])),
+        (BUSHY_TREE, tree_choice, _set("strings", ["", "0", "1", "01", "00", "10", "11"])),
+        (BUSHY_TREE, tree_choice, lambda doc: doc["strings"].pop()),
+        (BUSHY_TREE, tree_choice, lambda doc: doc["strings"].__setitem__(-1, "111")),
+        (BUSHY_TREE, tree_choice, _set("horizon", 3)),
+        (BUSHY_TREE, tree_choice, _set("horizon", 1)),
+        (ZORN_DOC, zorn_inputs, _set("members", [[], ["1"]])),
+        (ZORN_DOC, zorn_inputs, _set("members", [["1", "2"], ["1"], []])),
+        (ZORN_DOC, zorn_inputs, lambda doc: doc["members"][1].append("3")),
+        (ZORN_DOC, zorn_inputs, lambda doc: doc["members"].append(["4"])),
+    ],
+    ids=[
+        "strings-fewer", "strings-deeper", "strings-reordered", "strings-popped", "strings-item-replaced",
+        "horizon-raised", "horizon-lowered",
+        "members-fewer", "members-reordered", "member-grown", "members-appended",
+    ],
+)
+def test_an_edited_canonical_document_never_yields_a_stale_structure(doc, build, edit):
+    canonical = validate_document(doc)
+    plain = json.loads(json.dumps(canonical))  # builds every structure afresh
+    assert edited_outcome(build, canonical, edit) == edited_outcome(build, plain, edit)
 
 
 # Three distinct triplets, repeated over every entry of the documents below.

@@ -6,7 +6,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from neutrochoice import (
     DepthExceededError,
@@ -178,6 +178,15 @@ def test_the_tree_index_matches_a_brute_force_build(strings):
     for node in tree.nodes:
         deepest = max(len(other) for other in tree.nodes if other.startswith(node))
         assert tree.reach[node] == extension_depth(tree, node) == deepest
+
+
+@given(st.frozensets(st.text(alphabet="01", max_size=12), max_size=60))
+@example(frozenset({"", "1", "0", "11", "01", "10", "00", "011", "1000"}))
+def test_levels_keep_the_length_then_lexicographic_order(nodes):
+    # levels sorts lexicographically, then stably by length; the old one-pass key pins the order
+    tree = Tree(nodes=nodes, horizon=12)
+    assert list(itertools.chain.from_iterable(tree.levels.values())) == sorted(nodes, key=lambda n: (len(n), n))
+    assert list(tree.levels) == sorted({len(n) for n in nodes})
 
 
 def test_build_tree_choice_requires_totality():
