@@ -20,7 +20,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii as _escape
 from typing import Any, Callable
 
-from .errors import NeutroChoiceError, ParseError, SchemaError
+from .errors import BoundTooSmallError, NeutroChoiceError, ParseError, SchemaError
 from . import tree as tree_mod
 from . import zorn as zorn_mod
 from .family import NeutroChoice, SetFamily, build_choice
@@ -83,11 +83,15 @@ def _reader() -> Callable[[Any], Triplet]:
     each short component string.  Errors are not stored: a bad triplet
     raises afresh wherever it recurs.  Only all-string triplets are stored,
     because ``"1/2"`` equals only strings while ``Fraction(1, 2)`` also
-    equals the float ``0.5``.
+    equals the float ``0.5``.  Only a list or tuple is looked up: ``tuple()``
+    of a set or a dict could equal a stored key, and ``parse_triplet``
+    rejects both.
     """
     parsed: dict[tuple, Triplet] = {}
 
     def read(values) -> Triplet:
+        if not isinstance(values, (list, tuple)):
+            return parse_triplet(values)
         key = tuple(values)
         triplet = parsed.get(key)
         if triplet is None:
@@ -346,7 +350,10 @@ def generate_assignment(doc: dict) -> dict:
     denominator_bound = doc["rng"]["denominator_bound"]
 
     def draw() -> list[str]:
-        return random_triplet(rng, denominator_bound).serialize()
+        try:
+            return random_triplet(rng, denominator_bound).serialize()
+        except BoundTooSmallError as exc:
+            raise BoundTooSmallError(str(exc), address="rng.denominator_bound") from exc
 
     out = _Canonical({key: value for key, value in doc.items() if key != "rng"}, doc.built)
     if doc["kind"] == "family":
@@ -356,7 +363,8 @@ def generate_assignment(doc: dict) -> dict:
     elif doc["kind"] == "tree":
         out["assignment"] = {node: draw() for node in doc["strings"]}
     else:
-        family = zorn_family(doc)
+        # the family validation just built; a document without one builds its own
+        family = doc.built if doc.built is not None else zorn_family(doc)
         out["fan_triplets"] = [
             {"member": member, "entry": entry, "triplet": draw()}
             for member, entry in zorn_mod.fan_pairs(family)

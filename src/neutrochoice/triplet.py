@@ -114,8 +114,6 @@ class Triplet:
     p_not_chosen: Fraction
     p_indeterminate: Fraction
     verdict: Verdict = field(init=False, compare=False, repr=False)
-    #: the ``"num/den"`` strings, formatted on the first ``serialize()``
-    _strings: tuple[str, str, str] | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         i = as_rational(self.p_chosen)
@@ -154,9 +152,7 @@ class Triplet:
 
     def serialize(self) -> list[str]:
         """The components as ``"num/den"`` strings, in a new list on each call."""
-        if self._strings is None:
-            object.__setattr__(self, "_strings", tuple(map(format_rational, self.components())))
-        return list(self._strings)
+        return list(map(format_rational, self.components()))
 
 
 def make_triplet(p_chosen, p_not_chosen, p_indeterminate) -> Triplet:
@@ -168,10 +164,10 @@ def triplet_table(keys: Iterable, triplets: Mapping, where: Callable) -> dict:
     """Validated triplets for ``keys``, in key order.
 
     ``triplets`` maps each key to a Triplet, which passes through unchanged,
-    or to a raw three-component sequence, which is validated as if
-    constructed fresh.  ``where(key)`` returns ``(label, address)`` naming
-    the key: an absent key raises ``MissingAssignmentError``, and a
-    validation error is re-raised as the same type tagged with both.
+    or to a raw entry, which :func:`parse_triplet` validates.  ``where(key)``
+    returns ``(label, address)`` naming the key: an absent key raises
+    ``MissingAssignmentError``, and a validation error is re-raised as the
+    same type tagged with both.
     """
     table: dict = {}
     for key in keys:
@@ -180,7 +176,7 @@ def triplet_table(keys: Iterable, triplets: Mapping, where: Callable) -> dict:
             raise MissingAssignmentError(f"no triplet assigned to {label}", address=address)
         raw = triplets[key]
         try:
-            table[key] = raw if isinstance(raw, Triplet) else make_triplet(*raw)
+            table[key] = raw if isinstance(raw, Triplet) else parse_triplet(raw)
         except NeutroChoiceError as exc:
             label, address = where(key)
             raise type(exc)(f"{label}: {exc}", address=address) from exc
@@ -188,11 +184,14 @@ def triplet_table(keys: Iterable, triplets: Mapping, where: Callable) -> dict:
 
 
 def parse_triplet(values) -> Triplet:
-    """Build a triplet from a three-item sequence of rational-like values."""
-    items = list(values)
-    if len(items) != 3:
-        raise ValueError(f"a triplet needs exactly 3 components, got {len(items)}")
-    return make_triplet(*items)
+    """Build a triplet from a list or tuple of three rational-like values
+    (chosen, not chosen, indeterminate).  Anything else has no such order
+    and raises ``TypeError``; another length raises ``ValueError``."""
+    if not isinstance(values, (list, tuple)):
+        raise TypeError(f"a triplet is a list or tuple of 3 components, not a {type(values).__name__}")
+    if len(values) != 3:
+        raise ValueError(f"a triplet needs exactly 3 components, got {len(values)}")
+    return Triplet(*values)
 
 
 def classify(triplet: Triplet) -> Verdict:
@@ -204,7 +203,7 @@ def classify_threshold(triplet: Triplet, threshold) -> ThresholdVerdict:
     """Compare the choice probability against a threshold (``>=`` convention)."""
     p = as_rational(threshold)
     if p < _ZERO or p > _ONE:
-        raise ThresholdOutOfRangeError(f"threshold {format_rational(p)} lies outside [0, 1]")
+        raise ThresholdOutOfRangeError(f"threshold {format_rational(p)} lies outside [0, 1]", address="threshold")
     if triplet.p_chosen >= p:
         return ThresholdVerdict.CHOSEN_AT_THRESHOLD
     return ThresholdVerdict.NOT_CHOSEN_AT_THRESHOLD

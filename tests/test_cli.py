@@ -144,7 +144,7 @@ def test_classify_threshold_is_parsed_once(tmp_path, capsys, monkeypatch):
     code, payload = run(capsys, "classify", path, "--threshold", "12/8")
     assert code == 1
     assert payload["diagnostics"] == [
-        {"type": "ThresholdOutOfRange", "message": "threshold 3/2 lies outside [0, 1]", "address": None}
+        {"type": "ThresholdOutOfRange", "message": "threshold 3/2 lies outside [0, 1]", "address": "threshold"}
     ]
 
 
@@ -427,6 +427,16 @@ def test_rng_bound_past_the_sampler_range_is_a_schema_error(tmp_path, capsys, co
     assert code == 0
 
 
+@pytest.mark.parametrize("command", ["generate-assignment", "classify"])
+def test_an_rng_bound_below_the_sampler_minimum_names_its_field(tmp_path, capsys, command):
+    doc = {"kind": "family", "sets": [["a", "b"]], "rng": {"seed": 1, "denominator_bound": 3}}
+    code, payload = run(capsys, command, write_doc(tmp_path, "small.json", doc))
+    assert code == 1
+    assert payload["diagnostics"] == [
+        {"type": "BoundTooSmall", "message": "denominator bound must be at least 4, got 3", "address": "rng.denominator_bound"}
+    ]
+
+
 @pytest.mark.parametrize(
     "content",
     [b"[" * 100_000 + b"]" * 100_000, b"\xff\xfe{}"],
@@ -661,6 +671,28 @@ def test_error_text_is_formatted_only_where_it_is_used():
             if isinstance(node, ast.JoinedStr) and id(node) not in lazy
         ]
     assert eager == []
+
+
+def test_frozen_fields_are_set_only_in_post_init():
+    # a frozen dataclass is fixed once built: no cache filled in later behind its back
+    package = Path(__file__).resolve().parents[1] / "src" / "neutrochoice"
+    late = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        in_post_init = {
+            id(sub)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "__post_init__"
+            for sub in ast.walk(node)
+        }
+        late += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and ast.unparse(node.func) == "object.__setattr__"
+            and id(node) not in in_post_init
+        ]
+    assert late == []
 
 
 def test_only_construct_path_runs_the_path_search():

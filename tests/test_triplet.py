@@ -11,19 +11,26 @@ from neutrochoice import (
     BoundTooSmallError,
     MissingAssignmentError,
     OutOfRangeError,
+    SetFamily,
     SumNotOneError,
     ThresholdOutOfRangeError,
     ThresholdVerdict,
     TieViolationError,
     Triplet,
     Verdict,
+    ZornFamily,
+    build_choice,
+    build_tree,
+    build_tree_choice,
     classify,
     classify_threshold,
+    find_maximal,
     make_triplet,
     parse_triplet,
     random_triplet,
 )
 from neutrochoice import triplet as triplet_module
+from neutrochoice.documents import family_choice
 from neutrochoice.triplet import as_rational, triplet_table
 from oracles import _argmax_verdict, reference_as_rational, reference_triplet_error, triplet_pool
 
@@ -222,28 +229,49 @@ def test_triplet_table_passes_triplets_and_tags_raw_errors():
     assert invalid.value.address == "at a"
 
 
-def test_serialize_formats_each_triplet_once(monkeypatch):
-    calls = []
-    format_rational = triplet_module.format_rational
-
-    def counted(value):
-        calls.append(value)
-        return format_rational(value)
-
-    monkeypatch.setattr(triplet_module, "format_rational", counted)
+def test_serialize_returns_a_fresh_equal_list_each_call():
     t = make_triplet("6/12", "1/3", "1/6")
     first = t.serialize()
     first.append("changed")
     second = t.serialize()
     assert second == ["1/2", "1/3", "1/6"]
     assert second is not t.serialize()
-    assert len(calls) == 3
     assert t == make_triplet("1/2", "1/3", "1/6") and hash(t) == hash(make_triplet("1/2", "1/3", "1/6"))
 
 
 def test_parse_triplet_requires_three_components():
     with pytest.raises(ValueError):
         parse_triplet(["1/2", "1/2"])
+
+
+_ENTRY = ("6/10", "3/10", "1/10")
+
+#: every way in for a raw triplet entry, each returning what it builds from one
+_ENTRY_POINTS = {
+    "parse_triplet": parse_triplet,
+    "triplet_table": lambda raw: triplet_table(["k"], {"k": raw}, lambda key: (key, key))["k"],
+    "build_choice": lambda raw: build_choice(SetFamily(sets=(("a",),)), {(0, "a"): raw}).triplet(0, "a"),
+    "build_tree_choice": lambda raw: build_tree_choice(build_tree([""], 1), {"": raw}).assignment[""],
+    "find_maximal": lambda raw: find_maximal(ZornFamily(members=(frozenset(), frozenset("x"))), {(0, 1): raw}),
+    # after a list of the same strings, which its reader has stored
+    "family_choice": lambda raw: family_choice(
+        {"kind": "family", "sets": [["a", "b"]], "assignment": [{"a": list(_ENTRY), "b": raw}]}
+    ).triplet(0, "b"),
+}
+
+
+@pytest.mark.parametrize("entry_point", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "unordered",
+    [lambda: set(_ENTRY), lambda: dict.fromkeys(_ENTRY, 0), lambda: iter(_ENTRY)],
+    ids=["set", "dict", "iterator"],
+)
+def test_a_triplet_entry_is_a_list_or_a_tuple(entry_point, unordered):
+    # a set's order is its strings' hashes, a dict's items are its keys: neither is (chosen, not chosen, indeterminate)
+    build = _ENTRY_POINTS[entry_point]
+    with pytest.raises(TypeError):
+        build(unordered())
+    assert build(list(_ENTRY)) == build(_ENTRY)
 
 
 def test_classify_each_branch():
