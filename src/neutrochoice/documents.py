@@ -12,7 +12,6 @@ result is self-contained and replayable.
 from __future__ import annotations
 
 import json
-import math
 import random
 import re
 import sys
@@ -24,7 +23,7 @@ from .errors import BoundTooSmallError, NeutroChoiceError, ParseError, SchemaErr
 from . import tree as tree_mod
 from . import zorn as zorn_mod
 from .family import NeutroChoice, SetFamily, build_choice
-from .triplet import Triplet, parse_triplet, random_triplet
+from .triplet import MIN_DENOMINATOR_BOUND, Triplet, parse_triplet, random_triplet
 from .zorn import MaximalReport, Provenance, SuccessorEntry, ZornFamily
 
 KINDS = ("family", "tree", "zorn")
@@ -266,10 +265,10 @@ def _validate_zorn(doc: dict) -> dict:
         if len(set(raw)) != len(raw):
             raise SchemaError(f"members[{i}] lists a duplicate element", address=f"members[{i}]")
         out_members.append(sorted(raw))
-    members = tuple(frozenset(m) for m in out_members)
-    if len(set(members)) != len(members):
-        raise SchemaError("members must be distinct as sets", address="members")
-    family = ZornFamily(members=members)
+    try:
+        family = ZornFamily(members=out_members)
+    except ValueError as exc:
+        raise SchemaError("members must be distinct as sets", address="members") from exc
     out = _Canonical({"kind": "zorn", "members": out_members}, family)
     if "fan_triplets" in doc:
         raw_table = doc["fan_triplets"]
@@ -344,37 +343,39 @@ def generate_assignment(doc: dict) -> dict:
     fully determines the output document.
     """
     doc = validate_document(doc)
-    if "rng" not in doc:
+    block = doc.pop("rng", None)
+    if block is None:
         raise SchemaError("document has no rng block to generate from", address="rng")
-    rng = random.Random(doc["rng"]["seed"])
-    denominator_bound = doc["rng"]["denominator_bound"]
+    denominator_bound = block["denominator_bound"]
+    if denominator_bound < MIN_DENOMINATOR_BOUND:
+        raise BoundTooSmallError(
+            f"denominator bound must be at least {MIN_DENOMINATOR_BOUND}, got {denominator_bound}",
+            address="rng.denominator_bound",
+        )
+    rng = random.Random(block["seed"])
 
     def draw() -> list[str]:
-        try:
-            return random_triplet(rng, denominator_bound).serialize()
-        except BoundTooSmallError as exc:
-            raise BoundTooSmallError(str(exc), address="rng.denominator_bound") from exc
+        return random_triplet(rng, denominator_bound).serialize()
 
-    out = _Canonical({key: value for key, value in doc.items() if key != "rng"}, doc.built)
     if doc["kind"] == "family":
-        out["assignment"] = [
+        doc["assignment"] = [
             {element: draw() for element in raw_set} for raw_set in doc["sets"]
         ]
     elif doc["kind"] == "tree":
-        out["assignment"] = {node: draw() for node in doc["strings"]}
+        doc["assignment"] = {node: draw() for node in doc["strings"]}
     else:
         # the family validation just built; a document without one builds its own
         family = doc.built if doc.built is not None else zorn_family(doc)
-        out["fan_triplets"] = [
+        doc["fan_triplets"] = [
             {"member": member, "entry": entry, "triplet": draw()}
             for member, entry in zorn_mod.fan_pairs(family)
         ]
-    return out
+    return doc
 
 
 def family_choice(doc: dict) -> NeutroChoice:
     """Build the core choice object from a canonical family document."""
-    family = SetFamily(sets=tuple(tuple(s) for s in doc["sets"]))
+    family = SetFamily(sets=doc["sets"])
     read = _reader()
     triplets = {
         (i, element): read(values)
@@ -407,11 +408,9 @@ def tree_choice(doc: dict, horizon_override: int | None = None) -> tree_mod.Tree
 def zorn_family(doc: dict) -> ZornFamily:
     """The inclusion family of a zorn document's ``members`` list: the one
     validation built, with its fan table, while its members are still those."""
-    members = tuple(frozenset(m) for m in doc["members"])
+    family = ZornFamily(members=doc["members"])
     built = _take_built(doc)
-    if isinstance(built, ZornFamily) and built.members == members:
-        return built
-    return ZornFamily(members=members)
+    return built if built == family else family
 
 
 def zorn_inputs(doc: dict) -> tuple[ZornFamily, dict]:
@@ -500,27 +499,6 @@ def plan_to_json(plan) -> dict:
     }
 
 
-def _scalar(value: Any) -> str:
-    """The JSON text of a leaf value, as ``json.dumps`` writes it."""
-    if isinstance(value, str):
-        return _escape(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if math.isinf(value):
-            return "Infinity" if value > 0 else "-Infinity"
-        return float.__repr__(value)
-    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
-
-
 def _string_list(items: list | tuple, pad: str) -> str:
     """The ``indent=2`` text of a non-empty list of strings on a line indented
     by ``pad``; the escaper raises ``TypeError`` on an item that is not one."""
@@ -547,7 +525,7 @@ def _render(value: Any, pad: str, out: list[str], texts: dict[tuple, str]) -> No
             if not isinstance(key, str):
                 if not (key is None or isinstance(key, (int, float))):
                     raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-                key = _scalar(key)
+                key = json.dumps(key)
             out.append(lead + _escape(key) + ": ")
             lead = sep
             kind = type(item)
@@ -586,7 +564,7 @@ def _render(value: Any, pad: str, out: list[str], texts: dict[tuple, str]) -> No
             _render(item, inner, out, texts)
         out.append("\n" + pad + "]")
     else:
-        out.append(_scalar(value))
+        out.append("null" if value is None else json.dumps(value))
 
 
 def dumps_canonical(payload: dict) -> str:
@@ -594,7 +572,8 @@ def dumps_canonical(payload: dict) -> str:
 
     Keys are sorted, items sit one per line indented by two spaces, and
     every string is ASCII-escaped by the C escaper that ``json`` itself
-    uses.  CPython's C encoder serves only ``indent=None``, so this walks
+    uses; every other leaf but ``null`` and a dict's ``int`` values takes
+    its text from ``json.dumps``.  CPython's C encoder serves only ``indent=None``, so this walks
     the payload here rather than in the pure-Python encoder; a value
     ``json.dumps`` rejects raises the same ``TypeError``.
     """

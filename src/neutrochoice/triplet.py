@@ -167,7 +167,8 @@ def triplet_table(keys: Iterable, triplets: Mapping, where: Callable) -> dict:
     or to a raw entry, which :func:`parse_triplet` validates.  ``where(key)``
     returns ``(label, address)`` naming the key: an absent key raises
     ``MissingAssignmentError``, and a validation error is re-raised as the
-    same type tagged with both.
+    same type tagged with both (a ``TypeError``, ``ValueError`` or
+    ``ZeroDivisionError``, which carries no address, with the label only).
     """
     table: dict = {}
     for key in keys:
@@ -180,6 +181,8 @@ def triplet_table(keys: Iterable, triplets: Mapping, where: Callable) -> dict:
         except NeutroChoiceError as exc:
             label, address = where(key)
             raise type(exc)(f"{label}: {exc}", address=address) from exc
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise type(exc)(f"{where(key)[0]}: {exc}") from exc
     return table
 
 

@@ -427,14 +427,32 @@ def test_rng_bound_past_the_sampler_range_is_a_schema_error(tmp_path, capsys, co
     assert code == 0
 
 
-@pytest.mark.parametrize("command", ["generate-assignment", "classify"])
-def test_an_rng_bound_below_the_sampler_minimum_names_its_field(tmp_path, capsys, command):
-    doc = {"kind": "family", "sets": [["a", "b"]], "rng": {"seed": 1, "denominator_bound": 3}}
+SMALL_BOUND = {"seed": 1, "denominator_bound": 3}
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("generate-assignment", {"kind": "family", "sets": [["a", "b"]], "rng": SMALL_BOUND}),
+        ("classify", {"kind": "family", "sets": [["a", "b"]], "rng": SMALL_BOUND}),
+        # no member contains another: the bound is wrong although nothing is drawn
+        ("generate-assignment", {"kind": "zorn", "members": [["1"], ["2"]], "rng": SMALL_BOUND}),
+        ("find-maximal", {"kind": "zorn", "members": [["1"], ["2"]], "rng": SMALL_BOUND}),
+    ],
+    ids=["generate-assignment", "classify", "generate-assignment-zorn", "find-maximal-zorn"],
+)
+def test_an_rng_bound_below_the_sampler_minimum_names_its_field(tmp_path, capsys, command, doc):
     code, payload = run(capsys, command, write_doc(tmp_path, "small.json", doc))
     assert code == 1
     assert payload["diagnostics"] == [
         {"type": "BoundTooSmall", "message": "denominator bound must be at least 4, got 3", "address": "rng.denominator_bound"}
     ]
+
+
+def test_verify_report_draws_nothing_so_a_small_bound_passes(tmp_path, capsys):
+    doc = {"kind": "zorn", "members": [["1"], ["2"]], "rng": SMALL_BOUND, "report": {"maximal": [0, 1], "successors": []}}
+    code, payload = run(capsys, "verify-report", write_doc(tmp_path, "small.json", doc))
+    assert code == 0 and payload["outputs"] == {"valid": True}
 
 
 @pytest.mark.parametrize(

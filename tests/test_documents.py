@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from neutrochoice import BoundTooSmallError, NeutroChoiceError, ParseError, SchemaError, Verdict, classify, parse_triplet
+from neutrochoice import BoundTooSmallError, NeutroChoiceError, ParseError, SchemaError, Verdict, classify, construct_path, parse_triplet
 from neutrochoice import documents, zorn
 from neutrochoice.documents import (
     dumps_canonical,
@@ -150,13 +150,12 @@ def test_generate_assignment_is_deterministic_and_self_contained():
 
 
 def test_generate_assignment_propagates_small_bound():
-    doc = {
-        "kind": "family",
-        "sets": [["a"]],
-        "rng": {"seed": 7, "denominator_bound": 3},
-    }
-    with pytest.raises(BoundTooSmallError):
-        generate_assignment(doc)
+    rng = {"seed": 7, "denominator_bound": 3}
+    # the zorn members contain one another nowhere, so nothing would be drawn
+    for doc in ({"kind": "family", "sets": [["a"]], "rng": rng}, {"kind": "zorn", "members": [["1"], ["2"]], "rng": rng}):
+        with pytest.raises(BoundTooSmallError) as info:
+            generate_assignment(doc)
+        assert info.value.address == "rng.denominator_bound"
 
 
 def test_generate_assignment_covers_tree_closure():
@@ -222,8 +221,28 @@ json_trees = st.recursive(
 @example({"p": ["a", "1"], "q": ["a", 1], "r": ["a", True]})
 @example({"p": ["a", ["b"]], "q": ["a", ["b"]]})
 @example({"p": ["a", "b"], "q": {"r": ["a", "b"], "s": [{"t": ["a", "b"]}]}, "u": ("a", "b")})
+@example({"a": None, "b": [None, True, 0, 2**70], "c": {"d": False}, "e": True})
+@example([None, False, -1, None])
 def test_dumps_canonical_writes_the_bytes_of_json_dumps(value):
     assert dumps_canonical(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+def test_dumps_canonical_writes_a_path_trace_without_json_dumps(monkeypatch):
+    doc = validate_document(TREE_DOC)
+    payload = {"command": "find-path", "input": doc, "outputs": {"trace": documents.trace_to_json(construct_path(tree_choice(doc)))}}
+    assert None in [stage["compensator"] for stage in payload["outputs"]["trace"]["stages"]]
+    expected = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    calls = []
+    dumps = json.dumps
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return dumps(*args, **kwargs)
+
+    monkeypatch.setattr(documents.json, "dumps", counted)
+    # strings, ints, string lists and null all have their own paths
+    assert dumps_canonical(payload) == expected
+    assert calls == []
 
 
 def test_dumps_canonical_does_not_run_the_python_encoder(monkeypatch):

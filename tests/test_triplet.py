@@ -274,6 +274,23 @@ def test_a_triplet_entry_is_a_list_or_a_tuple(entry_point, unordered):
     assert build(list(_ENTRY)) == build(_ENTRY)
 
 
+@pytest.mark.parametrize(
+    "builder, label",
+    [("build_choice", "element 'a' in set 0: "), ("build_tree_choice", "node '': "), ("find_maximal", "fan entry 1 of member 0: ")],
+    ids=["build_choice", "build_tree_choice", "find_maximal"],
+)
+@pytest.mark.parametrize(
+    "entry, error",
+    [(["1/2", "1/2"], ValueError), (["x", "1/2", "1/2"], ValueError), (["1/0", "1/2", "1/2"], ZeroDivisionError), (set(_ENTRY), TypeError)],
+    ids=["two-components", "not-a-number", "zero-denominator", "set"],
+)
+def test_a_rejected_triplet_entry_names_its_key(builder, label, entry, error):
+    with pytest.raises(error) as info:
+        _ENTRY_POINTS[builder](entry)
+    assert type(info.value) is error and str(info.value).startswith(label)
+    assert type(info.value.__cause__) is error
+
+
 def test_classify_each_branch():
     assert classify(make_triplet("6/10", "3/10", "1/10")) is Verdict.CHOSEN
     assert classify(make_triplet("1/10", "7/10", "2/10")) is Verdict.NOT_CHOSEN
