@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Hashable, Mapping
 
 from .errors import IndexOutOfRangeError, InvalidChoiceError, PreconditionViolatedError
-from .triplet import Triplet, Verdict, make_triplet, triplet_table
+from .triplet import Triplet, Verdict, make_triplet, rank_table, triplet_table
 
 Element = Hashable
 
@@ -56,6 +57,13 @@ class NeutroChoice:
 
     def triplet(self, index: int, element: Element) -> Triplet:
         return self.assignment[(index, element)]
+
+    @cached_property
+    def rank(self) -> dict:
+        """``rank[(index, element)]``: the dense rank of the element's
+        ``p_chosen`` (see :func:`rank_table`), built on first read; not a
+        field, so ``==``, hash and repr ignore it."""
+        return rank_table(self.assignment)
 
 
 @dataclass(frozen=True)
@@ -123,13 +131,20 @@ def partition_set(choice: NeutroChoice, index: int) -> Partition:
     """Split set ``index`` into chosen / not chosen / indeterminate parts."""
     if not 0 <= index < len(choice.family):
         raise IndexOutOfRangeError(f"set index {index} out of range")
-    parts: dict[Verdict, list[Element]] = {v: [] for v in Verdict}
+    chosen: list[Element] = []
+    not_chosen: list[Element] = []
+    indeterminate: list[Element] = []
+    # verdicts are compared by identity: hashing an Enum member runs Python code
     for element in choice.family.sets[index]:
-        parts[choice.triplet(index, element).verdict].append(element)
+        verdict = choice.triplet(index, element).verdict
+        if verdict is Verdict.CHOSEN:
+            chosen.append(element)
+        elif verdict is Verdict.NOT_CHOSEN:
+            not_chosen.append(element)
+        else:
+            indeterminate.append(element)
     return Partition(
-        chosen=tuple(parts[Verdict.CHOSEN]),
-        not_chosen=tuple(parts[Verdict.NOT_CHOSEN]),
-        indeterminate=tuple(parts[Verdict.INDETERMINATE]),
+        chosen=tuple(chosen), not_chosen=tuple(not_chosen), indeterminate=tuple(indeterminate)
     )
 
 
@@ -160,9 +175,11 @@ def _chosen_parts(choice: NeutroChoice) -> list[Partition]:
 
 def _top(choice: NeutroChoice, index: int, elements) -> Element:
     """The element of set ``index`` among ``elements`` with the greatest
-    choice probability.  ``elements`` must be in canonical order: ``max``
-    keeps the first of equals, so ties fall to canonical order."""
-    return max(elements, key=lambda e: choice.triplet(index, e).p_chosen)
+    choice probability, compared by rank.  ``elements`` must be in canonical
+    order: ``max`` keeps the first of equals, so ties fall to canonical
+    order."""
+    rank = choice.rank
+    return max(elements, key=lambda e: rank[(index, e)])
 
 
 def _capacity(parts: list[Partition]) -> CompensationReport:
@@ -214,8 +231,8 @@ def allocate_compensators(choice: NeutroChoice) -> CompensationPlan:
         top = _top(choice, donor, part.chosen)
         marks.append((donor, top))
         pool.extend((donor, element) for element in part.chosen if element != top)
-    # a stable sort keeps donor and canonical order among equal probabilities
-    pool.sort(key=lambda entry: choice.triplet(*entry).p_chosen, reverse=True)
+    # a stable sort keeps donor and canonical order among equal ranks
+    pool.sort(key=choice.rank.__getitem__, reverse=True)
     recipients = [index for index, part in enumerate(parts) if not part.chosen]
     pairs: list[CompensationPair] = []
     for recipient, (donor, compensator) in zip(recipients, pool):
@@ -237,7 +254,9 @@ def verify_plan(choice: NeutroChoice, plan: CompensationPlan) -> bool:
     Every empty-choice set is served once, each by a distinct chosen element
     of another set with at least two, never that donor's reserved top; and
     ``marks`` holds every donor's reserved top and every pair's compensator,
-    each exactly once and in any order, and nothing else.
+    each exactly once and in any order, and nothing else.  Tops are found
+    by comparing ``p_chosen`` itself, not ``choice.rank``, so a fault in the
+    rank table cannot pass the check unseen.
     """
     family = choice.family
     parts = _chosen_parts(choice)
@@ -245,7 +264,7 @@ def verify_plan(choice: NeutroChoice, plan: CompensationPlan) -> bool:
     if sorted(pair.recipient_index for pair in plan.pairs) != empty:
         return False
     tops = {
-        (donor, _top(choice, donor, part.chosen))
+        (donor, max(part.chosen, key=lambda e: choice.triplet(donor, e).p_chosen))
         for donor, part in enumerate(parts)
         if len(part.chosen) >= 2
     }

@@ -186,6 +186,22 @@ def triplet_table(keys: Iterable, triplets: Mapping, where: Callable) -> dict:
     return table
 
 
+def rank_table(table: Mapping) -> dict:
+    """Each key of a triplet table mapped to the dense rank of its
+    triplet's ``p_chosen``: 0 for the smallest value, equal values equal
+    ranks, so comparing ranks orders keys exactly as comparing ``p_chosen``.
+
+    A table repeats a few triplet objects over many keys, so each distinct
+    object is read once (by ``id``) and only the distinct values are
+    sorted; equal triplets held as separate objects still share a rank.
+    """
+    distinct = {id(triplet): triplet for triplet in table.values()}
+    values = sorted({triplet.p_chosen for triplet in distinct.values()})
+    dense = {value: rank for rank, value in enumerate(values)}
+    by_id = {ident: dense[triplet.p_chosen] for ident, triplet in distinct.items()}
+    return {key: by_id[id(triplet)] for key, triplet in table.items()}
+
+
 def parse_triplet(values) -> Triplet:
     """Build a triplet from a list or tuple of three rational-like values
     (chosen, not chosen, indeterminate).  Anything else has no such order

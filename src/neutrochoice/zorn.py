@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Mapping
 
 from .errors import CompensationExhaustedError, NotAMemberError
-from .triplet import Verdict, triplet_table
+from .triplet import Verdict, rank_table, triplet_table
 from .triplet import make_triplet  # noqa: F401  bench/spans.py wraps zorn.make_triplet by name
 
 
@@ -212,11 +212,13 @@ def find_maximal(family: ZornFamily, fan_triplets: Mapping) -> MaximalReport:
     fans = family.fans
     pairs = ((base, entry) for base, fan in enumerate(fans) for entry in fan)
     table = triplet_table(pairs, fan_triplets, _fan_where)
+    # p_chosen is compared through its dense rank, an int
+    rank = rank_table(table)
     maximal = tuple(index for index, fan in enumerate(fans) if not fan)
     successors: dict[int, SuccessorEntry] = {}
     marked: set[int] = set()
     pending: list[int] = []
-    # best record (-p_chosen, donor) of every chosen fan entry
+    # best record (-rank, donor) of every chosen fan entry
     best: dict[int, tuple] = {}
 
     for base_index, fan in enumerate(fans):
@@ -225,12 +227,12 @@ def find_maximal(family: ZornFamily, fan_triplets: Mapping) -> MaximalReport:
             if table[(base_index, entry)].verdict is Verdict.CHOSEN
         ]
         for entry in chosen_entries:
-            record = (-table[(base_index, entry)].p_chosen, base_index)
+            record = (-rank[(base_index, entry)], base_index)
             if entry not in best or record < best[entry]:
                 best[entry] = record
         if chosen_entries:
             # fan entries ascend, and max keeps the first of equals
-            top = max(chosen_entries, key=lambda entry: table[(base_index, entry)].p_chosen)
+            top = max(chosen_entries, key=lambda entry: rank[(base_index, entry)])
             marked.add(top)
             successors[base_index] = SuccessorEntry(
                 successor_index=top, provenance=Provenance.DIRECT
@@ -240,10 +242,10 @@ def find_maximal(family: ZornFamily, fan_triplets: Mapping) -> MaximalReport:
 
     if pending:
         ranked = sorted((e for e in best if e not in marked), key=lambda e: (best[e], e))
-        rank = {entry: position for position, entry in enumerate(ranked)}
-        # a pending member's options: its fan entries in the ranked pool, by rank
+        position = {entry: place for place, entry in enumerate(ranked)}
+        # a pending member's options: its fan entries in the ranked pool, in pool order
         options = {
-            base_index: sorted((e for e in fans[base_index] if e in rank), key=rank.get)
+            base_index: sorted((e for e in fans[base_index] if e in position), key=position.get)
             for base_index in pending
         }
         held = _compensate(pending, options)

@@ -67,6 +67,32 @@ def triplet_pool(max_denominator: int) -> list[Triplet]:
     return pool
 
 
+# Raw triplets whose p_chosen values float() cannot tell apart: 1/2 against
+# 1/2 + 1/(2*10**20) (chosen), 1/10 against 1/10 + 1/10**20 (not chosen) and
+# 1/5 against 1/5 + 1/10**20 (indeterminate); the first two values are each
+# also spelled a second way.
+_E = 10**20
+HALF = ("1/2", "3/10", "1/5")
+HALF_RESPELT = ("2/4", "6/20", "2/10")
+HALF_UP = (f"{_E + 1}/{2 * _E}", "3/10", f"{4 * _E // 10 - 1}/{2 * _E}")
+HALF_UP_RESPELT = (f"{2 * _E + 2}/{4 * _E}", "30/100", f"{8 * _E // 10 - 2}/{4 * _E}")
+TENTH = ("1/10", "7/10", "1/5")
+TENTH_RESPELT = ("10/100", "14/20", "2/10")
+TENTH_UP = (f"{_E // 10 + 1}/{_E}", "7/10", f"{_E // 5 - 1}/{_E}")
+TENTH_UP_RESPELT = (f"{2 * _E // 10 + 2}/{2 * _E}", "70/100", f"{2 * _E // 5 - 2}/{2 * _E}")
+FIFTH = ("1/5", "3/10", "1/2")
+FIFTH_UP = (f"{_E // 5 + 1}/{_E}", "3/10", f"{_E // 2 - 1}/{_E}")
+
+
+def near_tie_pool() -> list[Triplet]:
+    """The raw triplets above, one object each: equal values spelled two
+    ways are separate objects, and unequal ones differ below float
+    resolution."""
+    raw = (HALF, HALF_RESPELT, HALF_UP, HALF_UP_RESPELT, TENTH, TENTH_RESPELT)
+    raw += (TENTH_UP, TENTH_UP_RESPELT, FIFTH, FIFTH_UP)
+    return [make_triplet(*values) for values in raw]
+
+
 def reference_as_rational(value) -> Fraction:
     """``as_rational`` as it was before its ASCII fast path: every string
     goes through ``Fraction(str)`` after the exponent check."""

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
 from neutrochoice import (
+    CompensationPlan,
     IndexOutOfRangeError,
     InvalidChoiceError,
     MissingAssignmentError,
@@ -18,12 +21,20 @@ from neutrochoice import (
     build_choice,
     check_compensation,
     embed_classical,
+    make_triplet,
     partition_set,
     product_status,
     verify_plan,
 )
 from oracles import (
+    HALF,
+    HALF_RESPELT,
+    HALF_UP,
+    HALF_UP_RESPELT,
+    TENTH,
+    TENTH_UP,
     compensation_holds_matching,
+    near_tie_pool,
     reference_allocate,
     sample_choice,
     sample_family,
@@ -292,6 +303,97 @@ def test_allocate_matches_reference_on_needy_families():
         plan = allocate_compensators(choice)
         assert plan == reference_allocate(choice)
         assert len(plan.pairs) >= n_sets // 4
+
+
+def near_tie_choice(reverse: bool = False):
+    """Set 0's chosen p_chosen values are 1/2 (a, c) and 1/2 + 1/(2*10**20)
+    (b, d), each spelled two ways, set 1's likewise; floats would tie them
+    all.  Sets 2-5 choose nothing and hold 1/10 and 1/10 + 1/10**20."""
+    sets = (("a", "b", "c", "d"), ("e", "f"), ("p", "q"), ("r",), ("s",), ("t",))
+    if reverse:
+        sets = tuple(xs[::-1] for xs in sets)
+    triplets = {
+        (0, "a"): HALF, (0, "b"): HALF_UP, (0, "c"): HALF_RESPELT, (0, "d"): HALF_UP_RESPELT,
+        (1, "e"): HALF_RESPELT, (1, "f"): HALF_UP,
+        (2, "p"): TENTH, (2, "q"): TENTH_UP,
+        (3, "r"): TENTH, (4, "s"): TENTH_UP, (5, "t"): TENTH,
+    }
+    return build_choice(SetFamily(sets=sets), triplets)
+
+
+@pytest.mark.parametrize(
+    ("reverse", "pairs", "marks", "witness"),
+    [
+        (
+            False,
+            [(2, "q", 0, "d"), (3, "r", 0, "a"), (4, "s", 0, "c"), (5, "t", 1, "e")],
+            [(0, "b"), (1, "f"), (0, "d"), (0, "a"), (0, "c"), (1, "e")],
+            ("b", "f"),
+        ),
+        (
+            True,
+            [(2, "q", 0, "b"), (3, "r", 0, "c"), (4, "s", 0, "a"), (5, "t", 1, "e")],
+            [(0, "d"), (1, "f"), (0, "b"), (0, "c"), (0, "a"), (1, "e")],
+            ("d", "f"),
+        ),
+    ],
+    ids=["listed", "reversed"],
+)
+def test_engines_order_probabilities_exactly(reverse, pairs, marks, witness):
+    # greater by less than float resolution wins; equal values, however
+    # spelled, fall to canonical order
+    assert float(make_triplet(*HALF).p_chosen) == float(make_triplet(*HALF_UP).p_chosen)
+    choice = near_tie_choice(reverse)
+    plan = allocate_compensators(choice)
+    assert plan == reference_allocate(choice)
+    assert [(p.recipient_index, p.compensated, p.donor_index, p.compensator) for p in plan.pairs] == pairs
+    assert list(plan.marks) == marks
+    assert verify_plan(choice, plan)
+    rich = build_choice(SetFamily(sets=choice.family.sets[:2]), choice.assignment)
+    status = product_status(rich)
+    assert status.kind is ProductStatusKind.NON_EMPTY_WITNESS
+    assert status.witness == witness
+
+
+def test_allocate_matches_reference_on_near_ties():
+    rng = random.Random(78)
+    groups = split_pool(near_tie_pool())
+    for n_sets in (5, 20, 100):
+        for _ in range(10):
+            choice = sample_needy_family(rng, groups, n_sets)
+            assert allocate_compensators(choice) == reference_allocate(choice)
+
+
+def test_allocate_compares_each_distinct_probability_a_few_times(monkeypatch):
+    # Fraction comparisons run in Python: the engine sorts the D distinct
+    # p_chosen values once and compares integer ranks from then on
+    choice = sample_needy_family(random.Random(77), split_pool(triplet_pool(12)), 200)
+    distinct = len({t.p_chosen for t in choice.assignment.values()})
+    calls = 0
+    richcmp = Fraction._richcmp
+
+    def counting(self, other, op):
+        nonlocal calls
+        calls += 1
+        return richcmp(self, other, op)
+
+    monkeypatch.setattr(Fraction, "_richcmp", counting)
+    allocate_compensators(choice)
+    assert distinct == 46
+    assert calls <= distinct * math.ceil(math.log2(distinct)) + distinct
+
+
+def test_verify_plan_reads_no_rank_table():
+    choice = paper_example_choice()
+    plan = allocate_compensators(choice)
+    # a rank table upside down: it would make z, not y, set 2's top
+    choice.__dict__["rank"] = {key: -rank for key, rank in choice.rank.items()}
+    assert verify_plan(choice, plan)
+    (pair,) = plan.pairs
+    swapped = CompensationPlan(
+        pairs=(replace(pair, compensator="y"),), marks=((2, "z"), (2, "y"))
+    )
+    assert not verify_plan(choice, swapped)
 
 
 def test_allocate_5000_sets_in_one_pass():

@@ -27,7 +27,15 @@ from neutrochoice import (
 )
 from neutrochoice.zorn import fan_pairs
 from oracles import (
+    HALF,
+    HALF_RESPELT,
+    HALF_UP,
+    HALF_UP_RESPELT,
+    TENTH,
+    TENTH_RESPELT,
+    TENTH_UP,
     brute_maximal_indices,
+    near_tie_pool,
     reference_fans,
     reference_find_maximal,
     sample_starved_zorn,
@@ -220,6 +228,44 @@ def test_find_maximal_matches_reference_on_starved_families():
         family, table = sample_starved_zorn(rng, groups, 50, starve=1.0, feasible=False)
         counts[_assert_same_as_reference(family, table)] += 1
     assert counts["compensated"] >= 18 and counts["exhausted"] >= 4, counts
+
+
+@pytest.mark.parametrize(("entry_4", "compensator"), [(HALF_UP_RESPELT, 4), (HALF_RESPELT, 3)])
+def test_find_maximal_orders_probabilities_exactly(entry_4, compensator):
+    # p_chosen 1/2 and 1/2 + 1/(2*10**20) are one float; equal values,
+    # however spelled, fall to member order.  The empty set's top is entry
+    # 2, the first of its greatest; starved {a} takes the best-ranked
+    # unmarked entry containing it: 4 above 3, or 3 when they tie
+    family = ZornFamily(
+        members=tuple(map(frozenset, ("", "a", "b", "ab", "ac", "abc")))
+    )
+    table = {
+        (0, 1): HALF, (0, 2): HALF_UP, (0, 3): HALF_RESPELT, (0, 4): entry_4, (0, 5): TENTH,
+        (1, 3): TENTH, (1, 4): TENTH_UP, (1, 5): TENTH_RESPELT,
+        (2, 3): TENTH_UP, (2, 5): HALF,
+        (3, 5): HALF_UP,
+        (4, 5): HALF_RESPELT,
+    }
+    assert _assert_same_as_reference(family, table) == "compensated"
+    report = find_maximal(family, table)
+    assert report.maximal_indices == (5,)
+    assert {base: (e.successor_index, e.provenance) for base, e in report.successors.items()} == {
+        0: (2, Provenance.DIRECT),
+        1: (compensator, Provenance.COMPENSATED),
+        2: (5, Provenance.DIRECT),
+        3: (5, Provenance.DIRECT),
+        4: (5, Provenance.DIRECT),
+    }
+
+
+def test_find_maximal_matches_reference_on_near_ties():
+    rng = random.Random(9191)
+    groups = split_pool(near_tie_pool())
+    counts = {"exhausted": 0, "compensated": 0, "direct": 0}
+    for _ in range(600):
+        family, table = sample_zorn_instance(rng, groups, max_members=rng.choice((6, 10, 16)))
+        counts[_assert_same_as_reference(family, table)] += 1
+    assert min(counts.values()) >= 50, counts
 
 
 def test_find_maximal_serves_over_a_thousand_pending_members():
