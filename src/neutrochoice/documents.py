@@ -23,7 +23,7 @@ from .errors import BoundTooSmallError, NeutroChoiceError, ParseError, SchemaErr
 from . import tree as tree_mod
 from . import zorn as zorn_mod
 from .family import NeutroChoice, SetFamily, build_choice
-from .triplet import MIN_DENOMINATOR_BOUND, Triplet, parse_triplet, random_triplet
+from .triplet import MIN_DENOMINATOR_BOUND, parse_triplet, random_triplet, triplet_table
 from .zorn import MaximalReport, Provenance, SuccessorEntry, ZornFamily
 
 KINDS = ("family", "tree", "zorn")
@@ -71,35 +71,6 @@ def load_document(path: str) -> dict:
     if not isinstance(doc, dict):
         raise SchemaError("document root must be an object")
     return doc
-
-
-def _reader() -> Callable[[Any], Triplet]:
-    """Return a ``parse_triplet`` that parses each distinct triplet once.
-
-    Documents repeat a few distinct triplets over thousands of entries, so
-    one reader serves one build call and is then dropped (validation keeps
-    a table of its own, see ``_known``).  Below it, ``as_rational`` memoizes
-    each short component string.  Errors are not stored: a bad triplet
-    raises afresh wherever it recurs.  Only all-string triplets are stored,
-    because ``"1/2"`` equals only strings while ``Fraction(1, 2)`` also
-    equals the float ``0.5``.  Only a list or tuple is looked up: ``tuple()``
-    of a set or a dict could equal a stored key, and ``parse_triplet``
-    rejects both.
-    """
-    parsed: dict[tuple, Triplet] = {}
-
-    def read(values) -> Triplet:
-        if not isinstance(values, (list, tuple)):
-            return parse_triplet(values)
-        key = tuple(values)
-        triplet = parsed.get(key)
-        if triplet is None:
-            triplet = parse_triplet(key)
-            if all(isinstance(v, str) for v in key):
-                parsed[key] = triplet
-        return triplet
-
-    return read
 
 
 def _known(raw: Any, canonical: dict[tuple, tuple[str, ...]]) -> list[str] | None:
@@ -376,9 +347,8 @@ def generate_assignment(doc: dict) -> dict:
 def family_choice(doc: dict) -> NeutroChoice:
     """Build the core choice object from a canonical family document."""
     family = SetFamily(sets=doc["sets"])
-    read = _reader()
     triplets = {
-        (i, element): read(values)
+        (i, element): values
         for i, table in enumerate(doc["assignment"])
         for element, values in table.items()
     }
@@ -400,9 +370,7 @@ def tree_choice(doc: dict, horizon_override: int | None = None) -> tree_mod.Tree
         and list(chain.from_iterable(built.levels.values())) == doc["strings"]
     ):
         built = tree_mod.build_tree(doc["strings"], horizon)
-    read = _reader()
-    triplets = {node: read(values) for node, values in doc["assignment"].items()}
-    return tree_mod.build_tree_choice(built, triplets)
+    return tree_mod.build_tree_choice(built, doc["assignment"])
 
 
 def zorn_family(doc: dict) -> ZornFamily:
@@ -416,12 +384,8 @@ def zorn_family(doc: dict) -> ZornFamily:
 def zorn_inputs(doc: dict) -> tuple[ZornFamily, dict]:
     """Build the family and fan-triplet table from a canonical zorn document."""
     family = zorn_family(doc)
-    read = _reader()
-    table = {
-        (record["member"], record["entry"]): read(record["triplet"])
-        for record in doc["fan_triplets"]
-    }
-    return family, table
+    raw = {(record["member"], record["entry"]): record["triplet"] for record in doc["fan_triplets"]}
+    return family, triplet_table(raw, raw, zorn_mod._fan_where)
 
 
 def report_to_json(report: MaximalReport) -> dict:

@@ -252,10 +252,11 @@ def verify_plan(choice: NeutroChoice, plan: CompensationPlan) -> bool:
     """Re-validate a compensation plan against the assignment from scratch.
 
     Every empty-choice set is served once, each by a distinct chosen element
-    of another set with at least two, never that donor's reserved top; and
-    ``marks`` holds every donor's reserved top and every pair's compensator,
-    each exactly once and in any order, and nothing else.  Tops are found
-    by comparing ``p_chosen`` itself, not ``choice.rank``, so a fault in the
+    of another set with at least two, never that donor's reserved top; each
+    pair's compensated element lies in its recipient's set; and ``marks``
+    holds every donor's reserved top and every pair's compensator, each
+    exactly once and in any order, and nothing else.  Tops are found by
+    comparing ``p_chosen`` itself, not ``choice.rank``, so a fault in the
     rank table cannot pass the check unseen.
     """
     family = choice.family

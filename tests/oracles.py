@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 from neutrochoice import (
@@ -384,6 +385,45 @@ def reference_allocate(choice: NeutroChoice) -> CompensationPlan:
             )
         )
     return CompensationPlan(pairs=tuple(pairs), marks=tuple(marks))
+
+
+def reference_verify_plan(choice: NeutroChoice, plan: CompensationPlan) -> bool:
+    """``verify_plan`` with each rule tested on its own, from the triplets'
+    components: verdicts by hand, tops by a first-wins scan in set order,
+    and the marks compared as multisets."""
+    sets = choice.family.sets
+    assignment = choice.assignment
+    chosen = [[e for e in members if _argmax_verdict(assignment[i, e]) == "chosen"] for i, members in enumerate(sets)]
+    # every set without a chosen element is served exactly once, and no other set is
+    if sorted(pair.recipient_index for pair in plan.pairs) != [i for i, c in enumerate(chosen) if not c]:
+        return False
+    tops = {}
+    for i, elements in enumerate(chosen):
+        if len(elements) >= 2:
+            top = elements[0]
+            for element in elements[1:]:
+                if assignment[i, element].p_chosen > assignment[i, top].p_chosen:
+                    top = element
+            tops[i] = top
+    served = []
+    for pair in plan.pairs:
+        donor = pair.donor_index
+        if donor == pair.recipient_index:
+            return False
+        if not 0 <= donor < len(sets):
+            return False
+        if len(chosen[donor]) < 2:
+            return False
+        if pair.compensator not in chosen[donor]:
+            return False
+        if pair.compensator == tops[donor]:
+            return False
+        if pair.compensated not in sets[pair.recipient_index]:
+            return False
+        served.append((donor, pair.compensator))
+    if len(set(served)) != len(served):
+        return False
+    return Counter(plan.marks) == Counter(tops.items()) + Counter(served)
 
 
 def _matching_covers(pending: list[int], candidates: dict[int, set[int]]) -> bool:

@@ -8,6 +8,8 @@ import functools
 import importlib.util
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -191,7 +193,7 @@ def test_find_maximal_then_verify_report(tmp_path, capsys):
     code = main(["find-maximal", path, "--output", result_path])
     capsys.readouterr()
     assert code == 0
-    result = json.loads(open(result_path).read())
+    result = json.loads(Path(result_path).read_text())
     assert result["outputs"]["report"]["maximal"] == [3]
 
     code, payload = run(capsys, "verify-report", result_path)
@@ -856,6 +858,38 @@ def test_outputs_do_not_depend_on_the_component_memo(tmp_path, capsys, monkeypat
         main(argv)
         assert capsys.readouterr().out == cold, argv
     assert warm > len(runs) // 2  # most commands read triplet strings, so their second run hit the memo
+
+
+#: runs each argv of ``sys.argv[1]`` (a JSON list) through ``cli.main`` and
+#: prints the run count and one sha256 of every exit code and stdout
+_DIGEST_RUNS = """
+import contextlib, hashlib, io, json, sys
+from neutrochoice.cli import main
+runs = json.loads(sys.argv[1])
+digest = hashlib.sha256()
+for argv in runs:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    digest.update(json.dumps([code, out.getvalue()]).encode())
+print(len(runs), digest.hexdigest())
+"""
+
+
+def test_outputs_do_not_depend_on_the_string_hash_seed(tmp_path):
+    # README "Determinism": the order of a set of strings changes with PYTHONHASHSEED, outputs must not
+    runs = seed_runs(tmp_path)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = []
+    for seed in ("0", "1", "4294967295"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+        child = subprocess.run(
+            [sys.executable, "-c", _DIGEST_RUNS, json.dumps(runs)], env=env, capture_output=True, text=True, check=True
+        )
+        digests.append(child.stdout)
+    assert digests[0].split()[0] == str(len(runs))
+    assert len(set(digests)) == 1, digests
 
 
 def count_fan_builds(monkeypatch) -> list:

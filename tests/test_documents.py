@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from neutrochoice import BoundTooSmallError, NeutroChoiceError, ParseError, SchemaError, Verdict, classify, construct_path, parse_triplet
-from neutrochoice import documents, zorn
+from neutrochoice import documents, triplet, zorn
 from neutrochoice.documents import (
     dumps_canonical,
     family_choice,
@@ -397,7 +397,8 @@ def repeating_zorn() -> dict:
 
 
 def count_parses(monkeypatch) -> list:
-    """Record every call the documents module makes to ``parse_triplet``."""
+    """Record every ``parse_triplet`` call made by the documents module
+    (validation) or by ``triplet_table`` (the builders)."""
     calls: list = []
 
     def counted(values):
@@ -405,6 +406,7 @@ def count_parses(monkeypatch) -> list:
         return parse_triplet(values)
 
     monkeypatch.setattr(documents, "parse_triplet", counted)
+    monkeypatch.setattr(triplet, "parse_triplet", counted)
     return calls
 
 

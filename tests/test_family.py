@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -36,6 +37,7 @@ from oracles import (
     compensation_holds_matching,
     near_tie_pool,
     reference_allocate,
+    reference_verify_plan,
     sample_choice,
     sample_family,
     sample_needy_family,
@@ -274,6 +276,52 @@ def test_verify_plan_checks_the_marks(forge):
     assert plan.marks == ((2, "y"), (2, "z"))
     assert verify_plan(choice, replace(plan, marks=plan.marks[::-1]))  # any order
     assert not verify_plan(choice, replace(plan, marks=forge(plan.marks)))
+
+
+def forged_plans(choice, plan):
+    """``(field, forged plan)`` for every plan that differs from ``plan`` in
+    one field of one pair, or in one mark dropped, duplicated or replaced."""
+    sets = choice.family.sets
+    indices = range(-1, len(sets) + 1)
+    elements = sorted({element for members in sets for element in members}) + ["absent"]
+    keys = [(index, element) for index, members in enumerate(sets) for element in members]
+    for n, pair in enumerate(plan.pairs):
+        for field, values in (
+            ("recipient_index", indices),
+            ("donor_index", indices),
+            ("compensator", elements),
+            ("compensated", elements),
+        ):
+            for value in values:
+                if value != getattr(pair, field):
+                    pairs = list(plan.pairs)
+                    pairs[n] = replace(pair, **{field: value})
+                    yield field, replace(plan, pairs=tuple(pairs))
+    marks = plan.marks
+    for n, mark in enumerate(marks):
+        yield "mark dropped", replace(plan, marks=marks[:n] + marks[n + 1 :])
+        yield "mark duplicated", replace(plan, marks=marks + (mark,))
+        for key in keys:
+            if key != mark:
+                yield "mark replaced", replace(plan, marks=marks[:n] + (key,) + marks[n + 1 :])
+
+
+def test_verify_plan_matches_the_reference_on_forged_plans():
+    rng = random.Random(4343)
+    groups = split_pool(triplet_pool(6))
+    verdicts: Counter = Counter()
+    for _ in range(10):
+        choice = sample_needy_family(rng, groups, rng.randint(3, 8))
+        plan = allocate_compensators(choice)
+        assert verify_plan(choice, plan) and reference_verify_plan(choice, plan)
+        for field, forged in forged_plans(choice, plan):
+            valid = verify_plan(choice, forged)
+            assert valid == reference_verify_plan(choice, forged), (choice, forged)
+            verdicts[field, valid] += 1
+    # every kind of forgery is met and rejected; another element of the recipient's set is a valid plan
+    fields = ["recipient_index", "donor_index", "compensator", "compensated", "mark dropped", "mark duplicated", "mark replaced"]
+    assert all(verdicts[field, False] for field in fields), verdicts
+    assert verdicts["compensated", True], verdicts
 
 
 def test_allocate_matches_reference_fuzz():

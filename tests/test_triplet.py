@@ -253,7 +253,7 @@ _ENTRY_POINTS = {
     "build_choice": lambda raw: build_choice(SetFamily(sets=(("a",),)), {(0, "a"): raw}).triplet(0, "a"),
     "build_tree_choice": lambda raw: build_tree_choice(build_tree([""], 1), {"": raw}).assignment[""],
     "find_maximal": lambda raw: find_maximal(ZornFamily(members=(frozenset(), frozenset("x"))), {(0, 1): raw}),
-    # after a list of the same strings, which its reader has stored
+    # after a list of the same strings, which triplet_table has stored
     "family_choice": lambda raw: family_choice(
         {"kind": "family", "sets": [["a", "b"]], "assignment": [{"a": list(_ENTRY), "b": raw}]}
     ).triplet(0, "b"),
@@ -289,6 +289,88 @@ def test_a_rejected_triplet_entry_names_its_key(builder, label, entry, error):
         _ENTRY_POINTS[builder](entry)
     assert type(info.value) is error and str(info.value).startswith(label)
     assert type(info.value.__cause__) is error
+
+
+def _element_where(key):
+    return f"element {key[1]!r} in set {key[0]}", f"set {key[0]}, element {key[1]!r}"
+
+
+#: the ways from a raw table keyed ``(0, element)`` to a validated one
+_TABLES = {
+    "triplet_table": lambda raw: triplet_table(raw, raw, _element_where),
+    "build_choice": lambda raw: build_choice(SetFamily(sets=(tuple(e for _, e in raw),)), raw).assignment,
+}
+
+
+@pytest.fixture(params=sorted(_TABLES))
+def build(request):
+    return _TABLES[request.param]
+
+
+@pytest.fixture
+def parses(monkeypatch) -> list:
+    """Every entry handed to ``parse_triplet`` as ``triplet_table`` looks it up."""
+    calls: list = []
+
+    def counted(values):
+        calls.append(tuple(values))
+        return parse_triplet(values)
+
+    monkeypatch.setattr(triplet_module, "parse_triplet", counted)
+    return calls
+
+
+def test_each_distinct_string_entry_is_parsed_once_per_call(parses, build):
+    half, tenth, respelt = ("1/2", "1/3", "1/6"), ("1/10", "7/10", "1/5"), ("2/4", "1/3", "1/6")
+    raw = {(0, e): list(entry) for e, entry in zip("abcdef", [half, tenth, half, respelt, tenth, half])}
+    table = build(raw)
+    assert sorted(parses) == sorted([half, tenth, respelt])
+    assert table[0, "a"] is table[0, "c"] is table[0, "f"] and table[0, "b"] is table[0, "e"]
+    assert table[0, "d"] == table[0, "a"]  # another spelling is another entry, parsed to an equal triplet
+    parses.clear()
+    assert build(raw) == table  # a new call parses afresh
+    assert len(parses) == 3
+
+
+def test_list_and_tuple_spellings_share_one_triplet(parses, build):
+    table = build({(0, "a"): list(_ENTRY), (0, "b"): _ENTRY, (0, "c"): list(_ENTRY)})
+    assert table[0, "a"] is table[0, "b"] is table[0, "c"]
+    assert parses == [_ENTRY]
+
+
+@pytest.mark.parametrize(
+    "first, later, message",
+    [
+        ([Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)], [0.5, Fraction(1, 3), Fraction(1, 6)], "floats are not accepted"),
+        ([0, "1/3", "2/3"], [0.0, "1/3", "2/3"], "floats are not accepted"),
+        ([0, "1/3", "2/3"], [False, "1/3", "2/3"], "booleans are not probabilities"),
+    ],
+    ids=["fraction-then-float", "int-then-float", "int-then-bool"],
+)
+def test_only_all_string_entries_are_stored(parses, build, first, later, message):
+    assert tuple(first) == tuple(later)  # a stored first entry would serve the later one
+    with pytest.raises(TypeError) as info:
+        build({(0, "a"): first, (0, "b"): later})
+    assert str(info.value).startswith(f"element 'b' in set 0: {message}")
+    assert len(parses) == 2
+
+
+def test_an_unhashable_item_is_a_miss_that_parse_triplet_rejects(parses, build):
+    with pytest.raises(TypeError) as info:
+        build({(0, "a"): list(_ENTRY), (0, "b"): [["1/2"], "1/3", "1/6"]})
+    assert str(info.value) == "element 'b' in set 0: cannot interpret ['1/2'] as a rational"
+    assert type(info.value.__cause__) is TypeError
+
+
+def test_a_repeated_bad_entry_is_reported_at_its_first_key(parses, build):
+    bad = ["1/2", "1/4", "1/8"]
+    raw = {(0, "a"): list(_ENTRY), (0, "b"): bad, (0, "c"): list(_ENTRY), (0, "d"): list(bad)}
+    for _ in range(2):
+        with pytest.raises(SumNotOneError) as info:
+            build(raw)
+        assert str(info.value) == "element 'b' in set 0: components sum to 7/8, not 1"
+        assert info.value.address == "set 0, element 'b'"
+    assert parses == [_ENTRY, tuple(bad)] * 2
 
 
 def test_classify_each_branch():
