@@ -23,7 +23,7 @@ from .errors import BoundTooSmallError, NeutroChoiceError, ParseError, SchemaErr
 from . import tree as tree_mod
 from . import zorn as zorn_mod
 from .family import NeutroChoice, SetFamily, build_choice
-from .triplet import MIN_DENOMINATOR_BOUND, parse_triplet, random_triplet, triplet_table
+from .triplet import MIN_DENOMINATOR_BOUND, parse_triplet, random_triplet
 from .zorn import MaximalReport, Provenance, SuccessorEntry, ZornFamily
 
 KINDS = ("family", "tree", "zorn")
@@ -54,13 +54,13 @@ def load_document(path: str) -> dict:
             text = handle.read()
         doc = json.loads(text)
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+        raise ParseError(f"cannot read {path}: {exc}", address="document") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(
             f"{path} is not UTF-8 text: {exc.reason}", address=f"byte {exc.start}"
         ) from exc
     except RecursionError as exc:
-        raise ParseError(f"{path} nests arrays or objects too deeply to parse") from exc
+        raise ParseError(f"{path} nests arrays or objects too deeply to parse", address="document") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{path} is not valid JSON: {exc.msg}",
@@ -69,7 +69,7 @@ def load_document(path: str) -> dict:
     except ValueError as exc:  # an integer literal past Python's int-string digit limit
         raise ParseError(f"cannot parse {path}: {exc}", address=_over_long_integer(text)) from exc
     if not isinstance(doc, dict):
-        raise SchemaError("document root must be an object")
+        raise SchemaError("document root must be an object", address="document")
     return doc
 
 
@@ -382,10 +382,10 @@ def zorn_family(doc: dict) -> ZornFamily:
 
 
 def zorn_inputs(doc: dict) -> tuple[ZornFamily, dict]:
-    """Build the family and fan-triplet table from a canonical zorn document."""
+    """The family and the raw fan entries of a canonical zorn document, by
+    ``(member, entry)`` pair; :func:`zorn.find_maximal` parses the entries."""
     family = zorn_family(doc)
-    raw = {(record["member"], record["entry"]): record["triplet"] for record in doc["fan_triplets"]}
-    return family, triplet_table(raw, raw, zorn_mod._fan_where)
+    return family, {(record["member"], record["entry"]): record["triplet"] for record in doc["fan_triplets"]}
 
 
 def report_to_json(report: MaximalReport) -> dict:

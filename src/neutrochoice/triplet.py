@@ -185,7 +185,7 @@ def triplet_table(keys: Iterable, triplets: Mapping, where: Callable) -> dict:
             label, address = where(key)
             raise MissingAssignmentError(f"no triplet assigned to {label}", address=address)
         raw = triplets[key]
-        if isinstance(raw, Triplet):  # before the memo: find_maximal re-reads zorn_inputs' table
+        if isinstance(raw, Triplet):  # before the memo: embed_classical passes whole Triplet tables
             table[key] = raw
             continue
         entry = tuple(raw) if isinstance(raw, (list, tuple)) else None

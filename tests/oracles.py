@@ -532,6 +532,37 @@ def reference_find_maximal(family: ZornFamily, table: dict) -> MaximalReport:
     return MaximalReport(maximal_indices=maximal, successors=successors)
 
 
+def reference_verify_report(family: ZornFamily, report: MaximalReport) -> bool:
+    """``verify_report`` with each rule of its docstring tested on its own,
+    from the members alone: the listed members as a multiset, maximality
+    by a scan for strict supersets, and each kind of successor counted."""
+    members = family.members
+    n = len(members)
+    # every member is listed exactly once, as maximal or as a successor's base
+    if Counter(report.maximal_indices) + Counter(report.successors.keys()) != Counter(range(n)):
+        return False
+    for index in report.maximal_indices:
+        for other in members:
+            if members[index] < other:
+                return False
+    direct = []
+    compensators = []
+    for base, entry in report.successors.items():
+        successor = entry.successor_index
+        if successor < 0 or successor >= n:
+            return False
+        if not members[base] < members[successor]:
+            return False
+        if entry.provenance == Provenance.COMPENSATED:
+            compensators.append(successor)
+        else:
+            direct.append(successor)
+    # a compensator is consumed once, and never one a direct successor already marked
+    if any(count > 1 for count in Counter(compensators).values()):
+        return False
+    return all(successor not in direct for successor in compensators)
+
+
 class _EagerPathSearch:
     """Depth-first stage construction that lists each stage's moves in full."""
 

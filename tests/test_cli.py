@@ -32,8 +32,10 @@ from neutrochoice import (
 )
 from neutrochoice import cli as cli_module
 from neutrochoice import documents
+from neutrochoice import family as family_module
 from neutrochoice import tree as tree_module
 from neutrochoice import triplet as triplet_module
+from neutrochoice import zorn as zorn_module
 from neutrochoice.cli import COMMANDS, main
 from neutrochoice.documents import dumps_canonical, family_choice, report_from_json, tree_choice, zorn_family
 
@@ -458,16 +460,23 @@ def test_verify_report_draws_nothing_so_a_small_bound_passes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "content",
-    [b"[" * 100_000 + b"]" * 100_000, b"\xff\xfe{}"],
-    ids=["deeply-nested", "not-utf8"],
+    "content, kind, address",
+    [
+        (b"[" * 100_000 + b"]" * 100_000, "ParseError", "document"),
+        (b"\xff\xfe{}", "ParseError", "byte 0"),
+        (b"[1]", "SchemaError", "document"),
+        (None, "ParseError", "document"),
+    ],
+    ids=["deeply-nested", "not-utf8", "root-not-an-object", "missing-file"],
 )
-def test_unreadable_json_is_a_parse_error(tmp_path, capsys, content):
+def test_unreadable_json_is_a_parse_error(tmp_path, capsys, content, kind, address):
+    # the document positional argument is named "document", as --output is named "output"
     path = tmp_path / "bad.json"
-    path.write_bytes(content)
+    if content is not None:
+        path.write_bytes(content)
     code, payload = run(capsys, "classify", str(path))
     assert code == 2
-    assert payload["diagnostics"][0]["type"] == "ParseError"
+    assert (payload["diagnostics"][0]["type"], payload["diagnostics"][0]["address"]) == (kind, address)
 
 
 @pytest.mark.parametrize(
@@ -671,6 +680,23 @@ def test_no_unused_import_or_orphaned_private_helper_in_src():
         )
     ]
     assert unused_imports == [] and orphans == []
+
+
+def test_no_src_module_reads_another_modules_private_name():
+    # a private name is its module's own: another module that reads it depends on what may change unannounced
+    package = Path(__file__).resolve().parents[1] / "src" / "neutrochoice"
+
+    def private(name: str) -> bool:
+        return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+    reads = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and private(node.attr) and ast.unparse(node.value) != "self":
+                reads.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+            elif isinstance(node, ast.ImportFrom):
+                reads += [f"{path.name}:{node.lineno}: {alias.name}" for alias in node.names if private(alias.name)]
+    assert reads == []
 
 
 def test_error_text_is_formatted_only_where_it_is_used():
@@ -923,6 +949,28 @@ def test_each_inclusion_family_builds_its_fan_table_once(tmp_path, capsys, monke
     code, payload = run(capsys, command, write_doc(tmp_path, "zorn.json", doc))
     assert code == 0 and payload["outputs"]
     assert len(built) == builds
+
+
+def test_each_command_parses_its_triplet_table_once(tmp_path, capsys, monkeypatch):
+    # find-maximal parses the zorn document's raw fan entries in the engine, not first in zorn_inputs too
+    calls = []
+    triplet_table = triplet_module.triplet_table
+
+    def counted(*args):
+        calls.append(args)
+        return triplet_table(*args)
+
+    for module in (zorn_module, family_module, tree_module, documents):
+        monkeypatch.setattr(module, "triplet_table", counted, raising=False)
+    counts = {}
+    for argv in seed_runs(tmp_path):
+        calls.clear()
+        main(argv)
+        capsys.readouterr()
+        counts.setdefault(argv[0], set()).add(len(calls))
+    assert counts == {
+        command: {0} if command in ("verify-report", "generate-assignment") else {1} for command in COMMANDS
+    }
 
 
 def test_outputs_do_not_depend_on_the_handed_over_structure(tmp_path, capsys, monkeypatch):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -38,6 +39,7 @@ from oracles import (
     near_tie_pool,
     reference_fans,
     reference_find_maximal,
+    reference_verify_report,
     sample_starved_zorn,
     sample_zorn_instance,
     split_pool,
@@ -361,6 +363,50 @@ def test_verify_report_requires_every_member_exactly_once(maximal, successors):
     complete = MaximalReport(maximal_indices=(2,), successors={0: _direct(1), 1: _direct(2)})
     assert verify_report(family, complete)
     assert not verify_report(family, MaximalReport(maximal_indices=maximal, successors=successors))
+
+
+def forged_reports(family, report):
+    """``(field, forged report)`` for every report that differs from ``report``
+    in one successor's index or provenance, one successor dropped or moved
+    into the maximal members, or one maximal index dropped or repeated."""
+    successors, maximal = report.successors, report.maximal_indices
+    flipped = {Provenance.DIRECT: Provenance.COMPENSATED, Provenance.COMPENSATED: Provenance.DIRECT}
+    for base, entry in successors.items():
+        for index in range(-1, len(family) + 1):
+            if index != entry.successor_index:
+                forged = dataclasses.replace(entry, successor_index=index)
+                yield "successor index", dataclasses.replace(report, successors={**successors, base: forged})
+        forged = dataclasses.replace(entry, provenance=flipped[entry.provenance])
+        yield "provenance", dataclasses.replace(report, successors={**successors, base: forged})
+        rest = {other: e for other, e in successors.items() if other != base}
+        yield "successor dropped", dataclasses.replace(report, successors=rest)
+        yield "successor made maximal", MaximalReport(maximal_indices=(*maximal, base), successors=rest)
+    for n in range(len(maximal)):
+        yield "maximal dropped", dataclasses.replace(report, maximal_indices=maximal[:n] + maximal[n + 1 :])
+        yield "maximal repeated", dataclasses.replace(report, maximal_indices=(*maximal, maximal[n]))
+
+
+def test_verify_report_matches_the_reference_on_forged_reports():
+    rng = random.Random(5151)
+    groups = split_pool(triplet_pool(12))
+    verdicts: Counter = Counter()
+    compensated = 0
+    for _ in range(40):
+        family, table = sample_starved_zorn(rng, groups, rng.randint(8, 24))
+        report = find_maximal(family, table)
+        assert verify_report(family, report) and reference_verify_report(family, report)
+        compensated += any(e.provenance is Provenance.COMPENSATED for e in report.successors.values())
+        for field, forged in forged_reports(family, report):
+            valid = verify_report(family, forged)
+            assert valid == reference_verify_report(family, forged), (family, forged)
+            verdicts[field, valid] += 1
+    # every kind of forgery is met and rejected; the rules read no triplets, so a
+    # swap to another strict superset, or a flip that double-books nothing, passes
+    fields = ["successor index", "provenance", "successor dropped", "successor made maximal",
+              "maximal dropped", "maximal repeated"]
+    assert all(verdicts[field, False] for field in fields), verdicts
+    assert verdicts["successor index", True] and verdicts["provenance", True], verdicts
+    assert compensated >= 10, compensated  # the compensator rules are exercised
 
 
 FAMILIES = st.lists(st.frozensets(st.sampled_from("abcde")), unique=True, max_size=12).map(
