@@ -12,10 +12,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import documents as docs
+from . import documents as docs  # build_choice is called as docs.build_choice, the name the traced bench wraps
+from . import tree as tree_mod
 from .errors import NeutroChoiceError, ParseError, SchemaError
 from .family import allocate_compensators, check_compensation, partition_set, product_status
-from .tree import construct_path, enumerate_paths
+from .tree import TreeChoice, construct_path, enumerate_paths
 from .triplet import as_rational, classify, classify_threshold, format_rational
 from .zorn import find_maximal, verify_report
 
@@ -80,6 +81,14 @@ def _prepared_document(args) -> dict:
     return docs.validate_document(raw)
 
 
+def _tree_choice(doc: dict, horizon: int | None) -> TreeChoice:
+    """The tree choice on validation's tree, or on one built to another ``--horizon``."""
+    tree, triplets = doc.core
+    if horizon is not None and horizon != tree.horizon:
+        tree = tree_mod.build_tree(doc["strings"], horizon)
+    return tree_mod.build_tree_choice(tree, triplets)
+
+
 def _classify_outputs(doc: dict, threshold: str | None) -> dict:
     if threshold is not None:
         try:
@@ -93,7 +102,7 @@ def _classify_outputs(doc: dict, threshold: str | None) -> dict:
         return classify_threshold(triplet, threshold).value
 
     if doc["kind"] == "family":
-        choice = docs.family_choice(doc)
+        choice = docs.build_choice(*doc.core)
         outputs: dict = {
             "verdicts": [
                 {element: verdict(choice.triplet(i, element)) for element in raw_set}
@@ -101,7 +110,7 @@ def _classify_outputs(doc: dict, threshold: str | None) -> dict:
             ]
         }
     elif doc["kind"] == "tree":
-        tc = docs.tree_choice(doc)
+        tc = _tree_choice(doc, None)
         outputs = {"verdicts": {node: verdict(tc.assignment[node]) for node in doc["strings"]}}
     else:
         raise SchemaError("classify expects a family or tree document", address="kind")
@@ -138,7 +147,7 @@ def _dispatch(args) -> dict:
         _require_kind(doc, "zorn", command)
         if report_raw is None:
             raise SchemaError("verify-report needs a 'report' to check", address="report")
-        valid = verify_report(docs.zorn_family(doc), docs.report_from_json(report_raw))
+        valid = verify_report(doc.core.structure, docs.report_from_json(report_raw))
         return {"command": command, "input": doc, "outputs": {"valid": valid}}
 
     if getattr(args, "count", None) is not None and args.count < 1:
@@ -150,7 +159,7 @@ def _dispatch(args) -> dict:
         outputs = _classify_outputs(doc, args.threshold)
     elif command == "partition":
         _require_kind(doc, "family", command)
-        choice = docs.family_choice(doc)
+        choice = docs.build_choice(*doc.core)
         outputs = {
             "partitions": [
                 {
@@ -165,15 +174,15 @@ def _dispatch(args) -> dict:
         }
     elif command == "check-compensation":
         _require_kind(doc, "family", command)
-        report = check_compensation(docs.family_choice(doc))
+        report = check_compensation(docs.build_choice(*doc.core))
         outputs = {"holds": report.holds, "uncompensatable": list(report.uncompensatable)}
     elif command == "allocate":
         _require_kind(doc, "family", command)
-        plan = allocate_compensators(docs.family_choice(doc))
+        plan = allocate_compensators(docs.build_choice(*doc.core))
         outputs = {"plan": docs.plan_to_json(plan)}
     elif command == "product-status":
         _require_kind(doc, "family", command)
-        status = product_status(docs.family_choice(doc))
+        status = product_status(docs.build_choice(*doc.core))
         outputs = {
             "status": {
                 "kind": status.kind.value,
@@ -182,18 +191,15 @@ def _dispatch(args) -> dict:
         }
     elif command == "find-path":
         _require_kind(doc, "tree", command)
-        trace = construct_path(docs.tree_choice(doc, horizon_override=args.horizon))
+        trace = construct_path(_tree_choice(doc, args.horizon))
         outputs = {"trace": docs.trace_to_json(trace)}
     elif command == "enumerate-paths":
         _require_kind(doc, "tree", command)
-        traces = enumerate_paths(
-            docs.tree_choice(doc, horizon_override=args.horizon), args.count
-        )
+        traces = enumerate_paths(_tree_choice(doc, args.horizon), args.count)
         outputs = {"traces": [docs.trace_to_json(trace) for trace in traces]}
     else:  # find-maximal: the sub-parsers admit only COMMANDS
         _require_kind(doc, "zorn", command)
-        family, table = docs.zorn_inputs(doc)
-        report = find_maximal(family, table)
+        report = find_maximal(*doc.core)
         outputs = {"report": docs.report_to_json(report)}
     return {"command": command, "input": doc, "outputs": outputs}
 

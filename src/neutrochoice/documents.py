@@ -17,13 +17,13 @@ import re
 import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _escape
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .errors import BoundTooSmallError, NeutroChoiceError, ParseError, SchemaError
 from . import tree as tree_mod
 from . import zorn as zorn_mod
 from .family import NeutroChoice, SetFamily, build_choice
-from .triplet import MIN_DENOMINATOR_BOUND, parse_triplet, random_triplet
+from .triplet import MIN_DENOMINATOR_BOUND, Triplet, parse_triplet, random_triplet
 from .zorn import MaximalReport, Provenance, SuccessorEntry, ZornFamily
 
 KINDS = ("family", "tree", "zorn")
@@ -73,9 +73,9 @@ def load_document(path: str) -> dict:
     return doc
 
 
-def _known(raw: Any, canonical: dict[tuple, tuple[str, ...]]) -> list[str] | None:
-    """Canonical strings of an entry ``_canonical_triplet`` has accepted in
-    this call, or None.
+def _known(raw: Any, seen: dict) -> tuple[list[str], Triplet] | None:
+    """Canonical strings and ``Triplet`` of an entry ``_canonical_triplet``
+    has accepted in this call, or None.
 
     Only a list can hit: ``tuple()`` of an object with the same three
     string keys would equal a stored key.  An unhashable item is a miss,
@@ -83,50 +83,47 @@ def _known(raw: Any, canonical: dict[tuple, tuple[str, ...]]) -> list[str] | Non
     """
     if isinstance(raw, list):
         try:
-            strings = canonical.get(tuple(raw))
+            known = seen.get(tuple(raw))
         except TypeError:
             return None
-        if strings is not None:
-            return list(strings)
+        if known is not None:
+            return list(known[0]), known[1]
     return None
 
 
-def _canonical_triplet(raw: Any, where: Callable[[], str], canonical: dict[tuple, tuple[str, ...]]) -> list[str]:
-    """Canonical strings of one triplet entry, stored in ``canonical`` under
-    its raw strings once valid; ``where()`` names it, on failure only."""
+def _canonical_triplet(raw: Any, where: Callable[[], str], seen: dict) -> tuple[list[str], Triplet]:
+    """Canonical strings and ``Triplet`` of one triplet entry, stored in
+    ``seen`` under its raw strings once valid; ``where()`` names it, on
+    failure only."""
     if not (isinstance(raw, list) and len(raw) == 3):
         raise SchemaError("triplet must be a 3-item list", address=where())
     if not all(isinstance(v, str) for v in raw):
         raise SchemaError("triplet components must be 'num/den' strings", address=where())
     try:
-        strings = parse_triplet(raw).serialize()
+        triplet = parse_triplet(raw)
     except (NeutroChoiceError, ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"invalid triplet at {where()}: {exc}", address=where()) from exc
-    canonical[tuple(raw)] = tuple(strings)
-    return strings
+    strings = triplet.serialize()
+    seen[tuple(raw)] = (tuple(strings), triplet)
+    return strings, triplet
+
+
+class Core(NamedTuple):
+    """What validation built from a canonical document: its structure and
+    its ``Triplet`` table, keyed as the structure's engine reads it (None
+    for an ``rng`` document)."""
+
+    structure: SetFamily | tree_mod.Tree | ZornFamily
+    triplets: dict | None
 
 
 class _Canonical(dict):
-    """A canonical document, carrying the structure its validation built as
-    the attribute ``built`` (a tree document's ``Tree``, a zorn document's
-    ``ZornFamily``), not as a key: it serializes and compares as the plain
-    dict.  ``tree_choice`` and ``zorn_family`` take ``built`` off the
-    document and use it only if it equals what they would build from the
-    document's keys, so an edited document never yields a stale structure."""
+    """A canonical document, carrying its :class:`Core` as the attribute
+    ``core``, not as a key: it serializes and compares as the plain dict."""
 
-    def __init__(self, items: dict, built: tree_mod.Tree | ZornFamily | None = None) -> None:
+    def __init__(self, items: dict, core: Core) -> None:
         super().__init__(items)
-        self.built = built
-
-
-def _take_built(doc: dict) -> tree_mod.Tree | ZornFamily | None:
-    """Take the structure validation built off ``doc`` (None from a plain
-    dict): it then lives as long as the command that runs on it, not while
-    the result, which echoes the document, is written."""
-    built = getattr(doc, "built", None)
-    if built is not None:
-        doc.built = None
-    return built
+        self.core = core
 
 
 def _is_int(value: Any) -> bool:
@@ -148,7 +145,7 @@ def _validate_rng(raw: Any) -> dict:
     return {"seed": raw["seed"], "denominator_bound": bound}
 
 
-def _validate_family(doc: dict) -> dict:
+def _validate_family(doc: dict) -> tuple[dict, Core]:
     sets = doc.get("sets")
     if not (isinstance(sets, list) and sets):
         raise SchemaError("family document needs a non-empty 'sets' list", address="sets")
@@ -161,13 +158,14 @@ def _validate_family(doc: dict) -> dict:
         if len(set(raw_set)) != len(raw_set):
             raise SchemaError(f"set {i} lists a duplicate element", address=f"sets[{i}]")
         out_sets.append(list(raw_set))
-    out = _Canonical({"kind": "family", "sets": out_sets})
+    out = {"kind": "family", "sets": out_sets}
+    triplets = None
     if "assignment" in doc:
         assignment = doc["assignment"]
         if not (isinstance(assignment, list) and len(assignment) == len(out_sets)):
             raise SchemaError("assignment must list one object per set", address="assignment")
         out_assignment = []
-        canonical: dict = {}
+        triplets, seen = {}, {}
         for i, (raw_set, table) in enumerate(zip(out_sets, assignment)):
             if not isinstance(table, dict):
                 raise SchemaError(f"assignment[{i}] must be an object", address=f"assignment[{i}]")
@@ -179,18 +177,17 @@ def _validate_family(doc: dict) -> dict:
             # every element is in the table and the elements are distinct, so only extras add length
             if len(table) != len(raw_set):
                 raise SchemaError(f"assignment[{i}] names elements outside set {i}", address=f"assignment[{i}]")
-            out_assignment.append(
-                {
-                    element: _known(table[element], canonical)
-                    or _canonical_triplet(table[element], lambda: f"assignment[{i}][{element!r}]", canonical)
-                    for element in raw_set
-                }
-            )
+            out_table = {}
+            for element in raw_set:
+                out_table[element], triplets[i, element] = _known(table[element], seen) or _canonical_triplet(
+                    table[element], lambda: f"assignment[{i}][{element!r}]", seen
+                )
+            out_assignment.append(out_table)
         out["assignment"] = out_assignment
-    return out
+    return out, Core(SetFamily(sets=out_sets), triplets)
 
 
-def _validate_tree(doc: dict) -> dict:
+def _validate_tree(doc: dict) -> tuple[dict, Core]:
     strings = doc.get("strings")
     horizon = doc.get("horizon")
     if not isinstance(strings, list):
@@ -204,7 +201,8 @@ def _validate_tree(doc: dict) -> dict:
             raise SchemaError(f"strings[{i}] is longer than the horizon", address=f"strings[{i}]")
     tree = tree_mod.build_tree(strings, horizon)
     closure = list(chain.from_iterable(tree.levels.values()))
-    out = _Canonical({"kind": "tree", "strings": closure, "horizon": horizon}, tree)
+    out = {"kind": "tree", "strings": closure, "horizon": horizon}
+    triplets = None
     if "assignment" in doc:
         table = doc["assignment"]
         if not isinstance(table, dict):
@@ -214,16 +212,16 @@ def _validate_tree(doc: dict) -> dict:
                 raise SchemaError(f"assignment is missing node {node!r}", address=f"assignment[{node!r}]")
         if len(table) != len(closure):
             raise SchemaError("assignment names nodes outside the tree", address="assignment")
-        canonical: dict = {}
-        out["assignment"] = {
-            node: _known(table[node], canonical)
-            or _canonical_triplet(table[node], lambda: f"assignment[{node!r}]", canonical)
-            for node in closure
-        }
-    return out
+        out_table, triplets, seen = {}, {}, {}
+        for node in closure:
+            out_table[node], triplets[node] = _known(table[node], seen) or _canonical_triplet(
+                table[node], lambda: f"assignment[{node!r}]", seen
+            )
+        out["assignment"] = out_table
+    return out, Core(tree, triplets)
 
 
-def _validate_zorn(doc: dict) -> dict:
+def _validate_zorn(doc: dict) -> tuple[dict, Core]:
     members = doc.get("members")
     if not (isinstance(members, list) and members):
         raise SchemaError("zorn document needs a non-empty 'members' list", address="members")
@@ -240,14 +238,15 @@ def _validate_zorn(doc: dict) -> dict:
         family = ZornFamily(members=out_members)
     except ValueError as exc:
         raise SchemaError("members must be distinct as sets", address="members") from exc
-    out = _Canonical({"kind": "zorn", "members": out_members}, family)
+    out = {"kind": "zorn", "members": out_members}
+    triplets = None
     if "fan_triplets" in doc:
         raw_table = doc["fan_triplets"]
         if not isinstance(raw_table, list):
             raise SchemaError("fan_triplets must be a list", address="fan_triplets")
         # fan order; each slot holds its pair's triplet once one is read
         slots: dict[tuple[int, int], list[str] | None] = dict.fromkeys(zorn_mod.fan_pairs(family))
-        canonical: dict = {}
+        triplets, seen = {}, {}
         for i, record in enumerate(raw_table):
             if not isinstance(record, dict):
                 raise SchemaError(f"fan_triplets[{i}] must be an object", address=f"fan_triplets[{i}]")
@@ -264,8 +263,8 @@ def _validate_zorn(doc: dict) -> dict:
             if slots[member, entry] is not None:
                 raise SchemaError(f"fan_triplets[{i}] duplicates a pair", address=f"fan_triplets[{i}]")
             raw = record.get("triplet")
-            slots[member, entry] = _known(raw, canonical) or _canonical_triplet(
-                raw, lambda: f"fan_triplets[{i}].triplet", canonical
+            slots[member, entry], triplets[member, entry] = _known(raw, seen) or _canonical_triplet(
+                raw, lambda: f"fan_triplets[{i}].triplet", seen
             )
         for (member, entry), triplet in slots.items():
             if triplet is None:
@@ -276,7 +275,7 @@ def _validate_zorn(doc: dict) -> dict:
         out["fan_triplets"] = [
             {"member": member, "entry": entry, "triplet": triplet} for (member, entry), triplet in slots.items()
         ]
-    return out
+    return out, Core(family, triplets)
 
 
 def validate_document(doc: dict) -> dict:
@@ -285,8 +284,9 @@ def validate_document(doc: dict) -> dict:
     Canonical means: triplets in lowest terms, tree strings closed under
     prefixes and sorted, zorn members element-sorted, fan tables in fan
     order.  Exactly one of an explicit table or an ``rng`` block must be
-    present.  The result also carries the tree or inclusion family that
-    validation built (see ``_Canonical``), which the builders below take.
+    present.  The result also carries, as its attribute ``core``, the
+    structure and ``Triplet`` table validation built (see :class:`Core`),
+    which the CLI runs its command on.
     """
     kind = doc.get("kind")
     if kind not in KINDS:
@@ -296,14 +296,14 @@ def validate_document(doc: dict) -> dict:
     if (table_key in doc) == has_rng:
         raise SchemaError(f"exactly one of '{table_key}' or 'rng' must be present", address=table_key)
     if kind == "family":
-        out = _validate_family(doc)
+        out, core = _validate_family(doc)
     elif kind == "tree":
-        out = _validate_tree(doc)
+        out, core = _validate_tree(doc)
     else:
-        out = _validate_zorn(doc)
+        out, core = _validate_zorn(doc)
     if has_rng:
         out["rng"] = _validate_rng(doc["rng"])
-    return out
+    return _Canonical(out, core)
 
 
 def generate_assignment(doc: dict) -> dict:
@@ -311,7 +311,8 @@ def generate_assignment(doc: dict) -> dict:
 
     Triplets are drawn in canonical order (family: set order then element
     order; tree: level then lexicographic; zorn: fan-pair order), so a seed
-    fully determines the output document.
+    fully determines the output document.  The drawn ``Triplet``s become
+    the document's ``core`` table, so nothing parses them again.
     """
     doc = validate_document(doc)
     block = doc.pop("rng", None)
@@ -324,23 +325,24 @@ def generate_assignment(doc: dict) -> dict:
             address="rng.denominator_bound",
         )
     rng = random.Random(block["seed"])
+    triplets: dict = {}
 
-    def draw() -> list[str]:
-        return random_triplet(rng, denominator_bound).serialize()
+    def draw(key) -> list[str]:
+        triplets[key] = triplet = random_triplet(rng, denominator_bound)
+        return triplet.serialize()
 
     if doc["kind"] == "family":
         doc["assignment"] = [
-            {element: draw() for element in raw_set} for raw_set in doc["sets"]
+            {element: draw((i, element)) for element in raw_set} for i, raw_set in enumerate(doc["sets"])
         ]
     elif doc["kind"] == "tree":
-        doc["assignment"] = {node: draw() for node in doc["strings"]}
+        doc["assignment"] = {node: draw(node) for node in doc["strings"]}
     else:
-        # the family validation just built; a document without one builds its own
-        family = doc.built if doc.built is not None else zorn_family(doc)
         doc["fan_triplets"] = [
-            {"member": member, "entry": entry, "triplet": draw()}
-            for member, entry in zorn_mod.fan_pairs(family)
+            {"member": member, "entry": entry, "triplet": draw((member, entry))}
+            for member, entry in zorn_mod.fan_pairs(doc.core.structure)
         ]
+    doc.core = Core(doc.core.structure, triplets)
     return doc
 
 
@@ -355,30 +357,14 @@ def family_choice(doc: dict) -> NeutroChoice:
     return build_choice(family, triplets)
 
 
-def tree_choice(doc: dict, horizon_override: int | None = None) -> tree_mod.TreeChoice:
-    """Build the core tree-choice object from a canonical tree document.
-
-    The tree is validation's while it has the horizon in use and the
-    document's strings are still its nodes in canonical order; another
-    horizon builds a new tree, which checks the depth of every string.
-    """
-    horizon = horizon_override if horizon_override is not None else doc["horizon"]
-    built = _take_built(doc)
-    if not (
-        isinstance(built, tree_mod.Tree)
-        and built.horizon == horizon
-        and list(chain.from_iterable(built.levels.values())) == doc["strings"]
-    ):
-        built = tree_mod.build_tree(doc["strings"], horizon)
-    return tree_mod.build_tree_choice(built, doc["assignment"])
+def tree_choice(doc: dict) -> tree_mod.TreeChoice:
+    """Build the core tree-choice object from a canonical tree document."""
+    return tree_mod.build_tree_choice(tree_mod.build_tree(doc["strings"], doc["horizon"]), doc["assignment"])
 
 
 def zorn_family(doc: dict) -> ZornFamily:
-    """The inclusion family of a zorn document's ``members`` list: the one
-    validation built, with its fan table, while its members are still those."""
-    family = ZornFamily(members=doc["members"])
-    built = _take_built(doc)
-    return built if built == family else family
+    """The inclusion family of a zorn document's ``members`` list."""
+    return ZornFamily(members=doc["members"])
 
 
 def zorn_inputs(doc: dict) -> tuple[ZornFamily, dict]:

@@ -419,10 +419,8 @@ def verify_trace(tc: TreeChoice, trace: PathTrace) -> bool:
         if comp not in tree.nodes or not chosen(comp):
             return False
         if stage.kind is StepKind.COMP_BACKWARD:
-            m = len(comp)
-            if m >= s:
-                return False
-            witness = stage.node[:m]
+            # len(comp) < s is implied: from length s on, the witness is stage.node itself, unchosen here
+            witness = stage.node[:len(comp)]
             if not chosen(witness) or not pc(comp) < pc(witness):
                 return False
         elif stage.kind is StepKind.COMP_FORWARD:

@@ -38,6 +38,7 @@ from neutrochoice import triplet as triplet_module
 from neutrochoice import zorn as zorn_module
 from neutrochoice.cli import COMMANDS, main
 from neutrochoice.documents import dumps_canonical, family_choice, report_from_json, tree_choice, zorn_family
+from test_documents import count_parses
 
 PAPER_FAMILY = {
     "kind": "family",
@@ -873,17 +874,36 @@ def seed_runs(tmp_path) -> list[list[str]]:
     return runs
 
 
+def explicit_entries(argv: list[str]) -> list[tuple] | None:
+    """The distinct raw triplet entries of a seed run's document, or None
+    for an ``rng`` document, whose triplets are drawn, not read."""
+    doc = json.loads(Path(argv[1]).read_text())
+    doc = doc.get("input", doc)  # a result file's echoed input
+    if "rng" in doc:
+        return None
+    table = doc.get("assignment", doc.get("fan_triplets"))
+    if doc["kind"] == "family":
+        raw = [values for element_table in table for values in element_table.values()]
+    elif doc["kind"] == "tree":
+        raw = list(table.values())
+    else:
+        raw = [record["triplet"] for record in table]
+    return sorted({tuple(values) for values in raw})
+
+
 def test_outputs_do_not_depend_on_the_component_memo(tmp_path, capsys, monkeypatch):
     runs = seed_runs(tmp_path)
-    warm = 0
+    warm = {}
     for argv in runs:
         monkeypatch.setattr(triplet_module, "_MEMO", {})
         main(argv)
         cold = capsys.readouterr().out
-        warm += bool(triplet_module._MEMO)
+        warm[tuple(argv)] = bool(triplet_module._MEMO)
         main(argv)
         assert capsys.readouterr().out == cold, argv
-    assert warm > len(runs) // 2  # most commands read triplet strings, so their second run hit the memo
+    # a command on an explicit table reads its triplet strings, so its second run hit the memo
+    explicit = [warm[tuple(argv)] for argv in runs if explicit_entries(argv) is not None]
+    assert len(explicit) > len(runs) // 3 and all(explicit)
 
 
 #: runs each argv of ``sys.argv[1]`` (a JSON list) through ``cli.main`` and
@@ -973,28 +993,56 @@ def test_each_command_parses_its_triplet_table_once(tmp_path, capsys, monkeypatc
     }
 
 
+def test_each_command_parses_each_distinct_entry_once(tmp_path, capsys, monkeypatch):
+    # validation parses each distinct entry and the command runs on its Triplets; drawn triplets are never parsed
+    calls = count_parses(monkeypatch)
+    for argv in seed_runs(tmp_path):
+        calls.clear()
+        assert main(argv) in (0, 1), argv  # the document is valid; some engines then fail
+        capsys.readouterr()
+        assert sorted(calls) == (explicit_entries(argv) or []), argv
+
+
 def test_outputs_do_not_depend_on_the_handed_over_structure(tmp_path, capsys, monkeypatch):
     runs = seed_runs(tmp_path) + [
         ["find-path", write_doc(tmp_path, "compensated.json", COMPENSATED_TREE), flag] for flag in ("--horizon=2", "--horizon=3")
     ]
-    fans = count_fan_builds(monkeypatch)
 
-    def outputs() -> list[tuple[str, int]]:
+    def outputs() -> list[str]:
         found = []
         for argv in runs:
-            fans.clear()
             main(argv)
-            found.append((capsys.readouterr().out, len(fans)))
+            found.append(capsys.readouterr().out)
         return found
 
     shared = outputs()
-    # as if every canonical document were a plain dict: each structure is built afresh
-    monkeypatch.setattr(documents._Canonical, "built", property(lambda doc: None, lambda doc, value: None), raising=False)
-    fresh = outputs()
-    assert [out for out, _ in shared] == [out for out, _ in fresh]
-    # only the two find-maximal runs build a table twice without the hand-over
-    changed = [(argv[0], builds, fresh_builds) for argv, (_, builds), (_, fresh_builds) in zip(runs, shared, fresh) if builds != fresh_builds]
-    assert changed == [("find-maximal", 1, 2)] * 2
+    rebuilt = []
+
+    def afresh(build):
+        """``build`` with the core of every document it returns with a table
+        replaced by one the builders for plain dicts make from its keys."""
+
+        def wrapper(raw):
+            doc = build(raw)
+            if "rng" not in doc:  # generation draws the table, and its result comes back through here
+                plain = dict(doc)
+                if doc["kind"] == "family":
+                    choice = family_choice(plain)
+                    doc.core = documents.Core(choice.family, choice.assignment)
+                elif doc["kind"] == "tree":
+                    tc = tree_choice(plain)
+                    doc.core = documents.Core(tc.tree, tc.assignment)
+                else:  # find_maximal parses the raw fan entries
+                    doc.core = documents.Core(*documents.zorn_inputs(plain))
+                rebuilt.append(doc)
+            return doc
+
+        return wrapper
+
+    monkeypatch.setattr(documents, "validate_document", afresh(documents.validate_document))
+    monkeypatch.setattr(documents, "generate_assignment", afresh(documents.generate_assignment))
+    assert outputs() == shared
+    assert len(rebuilt) == len(runs)  # each command ran on a core built afresh
 
 
 @st.composite

@@ -299,11 +299,11 @@ ZORN_RNG_DOC = {"kind": "zorn", "members": ZORN_DOC["members"], "rng": {"seed": 
 )
 def test_a_canonical_document_builds_as_its_json_copy(prepare, doc, build):
     canonical = prepare(doc)
-    # the structure validation hands over is no key, so the copy drops it
+    # the core validation attaches is no key, so the copy drops it
     copy = json.loads(json.dumps(canonical))
     assert canonical == copy and dumps_canonical(canonical) == dumps_canonical(copy)
     assert build(canonical) == build(copy)
-    assert build(canonical) == build(copy)  # the second build, after the first took the structure
+    assert build(canonical) == build(copy)  # a build leaves the document as it found it
 
 
 @pytest.mark.parametrize(
@@ -314,7 +314,7 @@ def test_a_canonical_document_builds_as_its_json_copy(prepare, doc, build):
 def test_a_document_lets_go_of_the_structure_it_handed_over(doc, structure):
     canonical = validate_document(doc)
     handed_over = weakref.ref(structure(canonical))
-    # the CLI writes the document into its result, so it must not keep the structure alive meanwhile
+    # the builders for plain dicts build from the document's keys: the document holds nothing they return
     assert handed_over() is None
 
 
