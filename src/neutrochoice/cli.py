@@ -12,10 +12,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import documents as docs  # build_choice is called as docs.build_choice, the name the traced bench wraps
+from . import documents as docs
 from . import tree as tree_mod
 from .errors import NeutroChoiceError, ParseError, SchemaError
-from .family import allocate_compensators, check_compensation, partition_set, product_status
+from .family import NeutroChoice, allocate_compensators, check_compensation, partition_set, product_status
 from .tree import TreeChoice, construct_path, enumerate_paths
 from .triplet import as_rational, classify, classify_threshold, format_rational
 from .zorn import find_maximal, verify_report
@@ -82,11 +82,12 @@ def _prepared_document(args) -> dict:
 
 
 def _tree_choice(doc: dict, horizon: int | None) -> TreeChoice:
-    """The tree choice on validation's tree, or on one built to another ``--horizon``."""
+    """The tree choice on validation's tree and ``Triplet`` table.  Another ``--horizon``
+    rebuilds the tree from the prefix-closed strings: the same nodes, or ``DepthExceededError``."""
     tree, triplets = doc.core
     if horizon is not None and horizon != tree.horizon:
         tree = tree_mod.build_tree(doc["strings"], horizon)
-    return tree_mod.build_tree_choice(tree, triplets)
+    return TreeChoice(tree, triplets)
 
 
 def _classify_outputs(doc: dict, threshold: str | None) -> dict:
@@ -101,17 +102,16 @@ def _classify_outputs(doc: dict, threshold: str | None) -> dict:
             return classify(triplet).value
         return classify_threshold(triplet, threshold).value
 
+    triplets = doc.core.triplets
     if doc["kind"] == "family":
-        choice = docs.build_choice(*doc.core)
         outputs: dict = {
             "verdicts": [
-                {element: verdict(choice.triplet(i, element)) for element in raw_set}
+                {element: verdict(triplets[i, element]) for element in raw_set}
                 for i, raw_set in enumerate(doc["sets"])
             ]
         }
     elif doc["kind"] == "tree":
-        tc = _tree_choice(doc, None)
-        outputs = {"verdicts": {node: verdict(tc.assignment[node]) for node in doc["strings"]}}
+        outputs = {"verdicts": {node: verdict(triplets[node]) for node in doc["strings"]}}
     else:
         raise SchemaError("classify expects a family or tree document", address="kind")
     if threshold is not None:
@@ -159,7 +159,7 @@ def _dispatch(args) -> dict:
         outputs = _classify_outputs(doc, args.threshold)
     elif command == "partition":
         _require_kind(doc, "family", command)
-        choice = docs.build_choice(*doc.core)
+        choice = NeutroChoice(*doc.core)
         outputs = {
             "partitions": [
                 {
@@ -174,15 +174,15 @@ def _dispatch(args) -> dict:
         }
     elif command == "check-compensation":
         _require_kind(doc, "family", command)
-        report = check_compensation(docs.build_choice(*doc.core))
+        report = check_compensation(NeutroChoice(*doc.core))
         outputs = {"holds": report.holds, "uncompensatable": list(report.uncompensatable)}
     elif command == "allocate":
         _require_kind(doc, "family", command)
-        plan = allocate_compensators(docs.build_choice(*doc.core))
+        plan = allocate_compensators(NeutroChoice(*doc.core))
         outputs = {"plan": docs.plan_to_json(plan)}
     elif command == "product-status":
         _require_kind(doc, "family", command)
-        status = product_status(docs.build_choice(*doc.core))
+        status = product_status(NeutroChoice(*doc.core))
         outputs = {
             "status": {
                 "kind": status.kind.value,

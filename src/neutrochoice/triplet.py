@@ -169,41 +169,20 @@ def triplet_table(keys: Iterable, triplets: Mapping, where: Callable) -> dict:
     ``MissingAssignmentError``, and a validation error is re-raised as the
     same type tagged with both (a ``TypeError``, ``ValueError`` or
     ``ZeroDivisionError``, which carries no address, with the label only).
-
-    Tables repeat a few distinct entries over many keys, so each distinct
-    all-string entry is parsed once per call and its ``Triplet`` shared.
-    Only all-string entries are stored, because ``"1/2"`` equals only
-    strings while ``Fraction(1, 2)`` also equals the float ``0.5``; only a
-    list or tuple is looked up, because ``tuple()`` of a set or a dict could
-    equal a stored key.  A failed parse is never stored, so a bad entry
-    raises at the first key that holds it.
     """
     table: dict = {}
-    parsed: dict[tuple, Triplet] = {}
     for key in keys:
         if key not in triplets:
             label, address = where(key)
             raise MissingAssignmentError(f"no triplet assigned to {label}", address=address)
         raw = triplets[key]
-        if isinstance(raw, Triplet):  # before the memo: embed_classical passes whole Triplet tables
-            table[key] = raw
-            continue
-        entry = tuple(raw) if isinstance(raw, (list, tuple)) else None
         try:
-            triplet = parsed.get(entry)
-        except TypeError:  # an unhashable item, which parse_triplet rejects below
-            triplet = entry = None
-        if triplet is None:
-            try:
-                triplet = parse_triplet(raw)
-            except NeutroChoiceError as exc:
-                label, address = where(key)
-                raise type(exc)(f"{label}: {exc}", address=address) from exc
-            except (TypeError, ValueError, ZeroDivisionError) as exc:
-                raise type(exc)(f"{where(key)[0]}: {exc}") from exc
-            if entry is not None and all(isinstance(v, str) for v in entry):
-                parsed[entry] = triplet
-        table[key] = triplet
+            table[key] = raw if isinstance(raw, Triplet) else parse_triplet(raw)
+        except NeutroChoiceError as exc:
+            label, address = where(key)
+            raise type(exc)(f"{label}: {exc}", address=address) from exc
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise type(exc)(f"{where(key)[0]}: {exc}") from exc
     return table
 
 

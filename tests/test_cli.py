@@ -971,8 +971,8 @@ def test_each_inclusion_family_builds_its_fan_table_once(tmp_path, capsys, monke
     assert len(built) == builds
 
 
-def test_each_command_parses_its_triplet_table_once(tmp_path, capsys, monkeypatch):
-    # find-maximal parses the zorn document's raw fan entries in the engine, not first in zorn_inputs too
+def test_only_find_maximal_runs_a_triplet_table_pass(tmp_path, capsys, monkeypatch):
+    # family and tree commands run on validation's Triplet table; find_maximal checks its own argument
     calls = []
     triplet_table = triplet_module.triplet_table
 
@@ -988,9 +988,7 @@ def test_each_command_parses_its_triplet_table_once(tmp_path, capsys, monkeypatc
         main(argv)
         capsys.readouterr()
         counts.setdefault(argv[0], set()).add(len(calls))
-    assert counts == {
-        command: {0} if command in ("verify-report", "generate-assignment") else {1} for command in COMMANDS
-    }
+    assert counts == {command: {1} if command == "find-maximal" else {0} for command in COMMANDS}
 
 
 def test_each_command_parses_each_distinct_entry_once(tmp_path, capsys, monkeypatch):
@@ -1003,25 +1001,13 @@ def test_each_command_parses_each_distinct_entry_once(tmp_path, capsys, monkeypa
         assert sorted(calls) == (explicit_entries(argv) or []), argv
 
 
-def test_outputs_do_not_depend_on_the_handed_over_structure(tmp_path, capsys, monkeypatch):
-    runs = seed_runs(tmp_path) + [
-        ["find-path", write_doc(tmp_path, "compensated.json", COMPENSATED_TREE), flag] for flag in ("--horizon=2", "--horizon=3")
-    ]
-
-    def outputs() -> list[str]:
-        found = []
-        for argv in runs:
-            main(argv)
-            found.append(capsys.readouterr().out)
-        return found
-
-    shared = outputs()
+def rebuilding_cores(monkeypatch) -> list:
+    """Make every document that validation or generation returns with a
+    table run on a core the builders for plain dicts make from its keys,
+    and record each such document."""
     rebuilt = []
 
     def afresh(build):
-        """``build`` with the core of every document it returns with a table
-        replaced by one the builders for plain dicts make from its keys."""
-
         def wrapper(raw):
             doc = build(raw)
             if "rng" not in doc:  # generation draws the table, and its result comes back through here
@@ -1041,6 +1027,23 @@ def test_outputs_do_not_depend_on_the_handed_over_structure(tmp_path, capsys, mo
 
     monkeypatch.setattr(documents, "validate_document", afresh(documents.validate_document))
     monkeypatch.setattr(documents, "generate_assignment", afresh(documents.generate_assignment))
+    return rebuilt
+
+
+def test_outputs_do_not_depend_on_the_handed_over_structure(tmp_path, capsys, monkeypatch):
+    runs = seed_runs(tmp_path) + [
+        ["find-path", write_doc(tmp_path, "compensated.json", COMPENSATED_TREE), flag] for flag in ("--horizon=2", "--horizon=3")
+    ]
+
+    def outputs() -> list[str]:
+        found = []
+        for argv in runs:
+            main(argv)
+            found.append(capsys.readouterr().out)
+        return found
+
+    shared = outputs()
+    rebuilt = rebuilding_cores(monkeypatch)
     assert outputs() == shared
     assert len(rebuilt) == len(runs)  # each command ran on a core built afresh
 
@@ -1103,6 +1106,32 @@ def test_fuzzed_cli_runs_end_in_one_json_object(tmp_path_factory, data):
     payload = json.loads(out.getvalue())
     assert isinstance(payload, dict)
     assert out.getvalue() == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def stdout_of(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(argv)
+    return out.getvalue()
+
+
+@settings(
+    max_examples=300,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(data=st.data())
+def test_fuzzed_outputs_do_not_depend_on_the_handed_over_structure(tmp_path_factory, data):
+    # a core missing a triplet or holding another would differ from one rebuilt by the builders
+    command = data.draw(st.sampled_from(COMMANDS))
+    path = tmp_path_factory.getbasetemp() / "fuzzed-core.json"
+    path.write_text(json.dumps(data.draw(fuzzed_documents(command))))
+    argv = [command, str(path), *data.draw(fuzzed_flags(command))]
+    shared = stdout_of(argv)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        rebuilding_cores(monkeypatch)
+        assert stdout_of(argv) == shared
 
 
 DEEP = 1500

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from collections import Counter
 import time
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -510,3 +512,11 @@ def test_product_status_never_claims_witness_with_empty_part():
                 assert element in partition_set(choice, i).chosen
         else:
             assert empty_parts
+
+
+def test_the_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library example", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})  # its asserts are the checks

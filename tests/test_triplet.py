@@ -253,7 +253,7 @@ _ENTRY_POINTS = {
     "build_choice": lambda raw: build_choice(SetFamily(sets=(("a",),)), {(0, "a"): raw}).triplet(0, "a"),
     "build_tree_choice": lambda raw: build_tree_choice(build_tree([""], 1), {"": raw}).assignment[""],
     "find_maximal": lambda raw: find_maximal(ZornFamily(members=(frozenset(), frozenset("x"))), {(0, 1): raw}),
-    # after a list of the same strings, which triplet_table has stored
+    # after a list of the same strings: each key's entry is checked on its own
     "family_choice": lambda raw: family_choice(
         {"kind": "family", "sets": [["a", "b"]], "assignment": [{"a": list(_ENTRY), "b": raw}]}
     ).triplet(0, "b"),
@@ -309,7 +309,7 @@ def build(request):
 
 @pytest.fixture
 def parses(monkeypatch) -> list:
-    """Every entry handed to ``parse_triplet`` as ``triplet_table`` looks it up."""
+    """Every entry ``triplet_table`` hands to ``parse_triplet``."""
     calls: list = []
 
     def counted(values):
@@ -318,24 +318,6 @@ def parses(monkeypatch) -> list:
 
     monkeypatch.setattr(triplet_module, "parse_triplet", counted)
     return calls
-
-
-def test_each_distinct_string_entry_is_parsed_once_per_call(parses, build):
-    half, tenth, respelt = ("1/2", "1/3", "1/6"), ("1/10", "7/10", "1/5"), ("2/4", "1/3", "1/6")
-    raw = {(0, e): list(entry) for e, entry in zip("abcdef", [half, tenth, half, respelt, tenth, half])}
-    table = build(raw)
-    assert sorted(parses) == sorted([half, tenth, respelt])
-    assert table[0, "a"] is table[0, "c"] is table[0, "f"] and table[0, "b"] is table[0, "e"]
-    assert table[0, "d"] == table[0, "a"]  # another spelling is another entry, parsed to an equal triplet
-    parses.clear()
-    assert build(raw) == table  # a new call parses afresh
-    assert len(parses) == 3
-
-
-def test_list_and_tuple_spellings_share_one_triplet(parses, build):
-    table = build({(0, "a"): list(_ENTRY), (0, "b"): _ENTRY, (0, "c"): list(_ENTRY)})
-    assert table[0, "a"] is table[0, "b"] is table[0, "c"]
-    assert parses == [_ENTRY]
 
 
 @pytest.mark.parametrize(
