@@ -221,6 +221,10 @@ def _validate_tree(doc: dict) -> tuple[dict, Core]:
     return out, Core(tree, triplets)
 
 
+#: what ``_validate_zorn``'s slot table gives for a pair that is not a fan pair
+_NOT_A_FAN_PAIR = object()
+
+
 def _validate_zorn(doc: dict) -> tuple[dict, Core]:
     members = doc.get("members")
     if not (isinstance(members, list) and members):
@@ -251,19 +255,22 @@ def _validate_zorn(doc: dict) -> tuple[dict, Core]:
             if not isinstance(record, dict):
                 raise SchemaError(f"fan_triplets[{i}] must be an object", address=f"fan_triplets[{i}]")
             member, entry = record.get("member"), record.get("entry")
-            if not (_is_int(member) and _is_int(entry)):
+            # a bool index would hash and compare as its int, so this check alone keeps it out
+            if not ((type(member) is int or _is_int(member)) and (type(entry) is int or _is_int(entry))):
                 raise SchemaError(
                     f"fan_triplets[{i}] needs integer 'member' and 'entry' indices", address=f"fan_triplets[{i}]"
                 )
-            if (member, entry) not in slots:
+            pair = member, entry
+            slot = slots.get(pair, _NOT_A_FAN_PAIR)
+            if slot is _NOT_A_FAN_PAIR:
                 raise SchemaError(
                     f"fan_triplets[{i}]: member {entry} is not a strict superset of member {member}",
                     address=f"fan_triplets[{i}]",
                 )
-            if slots[member, entry] is not None:
+            if slot is not None:
                 raise SchemaError(f"fan_triplets[{i}] duplicates a pair", address=f"fan_triplets[{i}]")
             raw = record.get("triplet")
-            slots[member, entry], triplets[member, entry] = _known(raw, seen) or _canonical_triplet(
+            slots[pair], triplets[pair] = _known(raw, seen) or _canonical_triplet(
                 raw, lambda: f"fan_triplets[{i}].triplet", seen
             )
         for (member, entry), triplet in slots.items():
@@ -456,46 +463,85 @@ def _string_list(items: list | tuple, pad: str) -> str:
     return "[\n" + inner + (",\n" + inner).join(map(_escape, items)) + "\n" + pad + "]"
 
 
-def _render(value: Any, pad: str, out: list[str], texts: dict[tuple, str]) -> None:
+def _key_plan(value: dict, inner: str, texts: dict[str, dict]) -> tuple[list[str], list[str], dict] | None:
+    """The key plan of a dict whose items sit on lines indented by ``inner``:
+    its keys in ``json.dumps(sort_keys=True)`` order, the text that leads
+    each key's item (its ``{`` or ``,`` line break and its escaped
+    ``"key": ``), and ``texts``' string-list memo for that indentation.
+    None unless every key is a ``str``, which the escaper checks: equal key
+    sets of other types can render differently
+    (``{True: 0}.keys() == {1: 0}.keys()``)."""
+    try:  # sorting mixed keys, or escaping one that is not a str, raises
+        keys = sorted(value)
+        # escaped text is ASCII with every control character spelled out, so NUL can split it
+        text = (": \0,\n" + inner).join(map(_escape, keys))
+    except TypeError:
+        return None
+    return keys, ("{\n" + inner + text + ": ").split("\0"), texts.setdefault(inner, {})
+
+
+def _render_dict(value: dict, pad: str, out: list[str], texts: dict[str, dict], plan: tuple | None = None) -> None:
+    """Append the ``indent=2`` text of a non-empty dict, on a line indented by
+    ``pad``, to ``out``: from its :func:`_key_plan` when one is given, else
+    from its sorted items, each key checked as ``json.dumps`` checks it when
+    it reaches it."""
+    inner = pad + "  "
+    if plan is None:
+        entries, lead, sep = sorted(value.items()), "{\n" + inner, ",\n" + inner
+        memo = texts.setdefault(inner, {})
+    else:
+        keys, heads, memo = plan
+        entries = zip(heads, map(value.__getitem__, keys))
+    for head, item in entries:
+        if plan is None:  # ``head`` is still the key
+            if not isinstance(head, str):
+                if not (head is None or isinstance(head, (int, float))):
+                    raise TypeError(f"keys must be str, int, float, bool or None, not {head.__class__.__name__}")
+                head = json.dumps(head)
+            head, lead = lead + _escape(head) + ": ", sep
+        out.append(head)
+        kind = type(item)
+        if kind is str:
+            out.append(_escape(item))
+        elif kind is int:
+            out.append(int.__repr__(item))
+        elif kind is list and item and type(item[0]) is str:
+            memo_key = tuple(item)
+            try:
+                text = memo.get(memo_key)
+                if text is None:
+                    text = memo[memo_key] = _string_list(item, inner)
+            except TypeError:  # an unhashable item, or one the escaper rejects
+                _render(item, inner, out, texts)
+            else:
+                out.append(text)
+        else:
+            _render(item, inner, out, texts)
+    out.append("\n" + pad + "}")
+
+
+def _render(value: Any, pad: str, out: list[str], texts: dict[str, dict]) -> None:
     """Append the ``indent=2`` text of ``value``, on a line indented by ``pad``, to ``out``.
 
-    ``texts`` keeps the text of every list of strings met as a dict value
-    (a document's triplets), keyed by its line's indentation and its items.
-    A key is stored only once the escaper has taken every item, so as a
-    ``str``: ``["a", 1]`` and ``["a", True]`` are equal tuples, and neither
-    is ever stored.
+    ``texts`` keeps, per indentation, the text of every list of strings met
+    as a dict value (a document's triplets), keyed by its items.  A key is
+    stored only once the escaper has taken every item, so as a ``str``:
+    ``["a", 1]`` and ``["a", True]`` are equal tuples, and neither is ever
+    stored.
+
+    A run of list items that are plain dicts with the same keys (a fan
+    table, a trace's stages) shares one :func:`_key_plan`, built for the
+    run's first dict, which has its successor to compare with.  A ``dict``
+    subclass is left out of runs: it may serve other items than its keys
+    and values.  Later dicts match a plan's keys by ``==``, so only an
+    object that is no ``str`` yet hashes and compares equal to one (which
+    ``json.dumps`` rejects as a key) would be written as that string.
     """
     if isinstance(value, dict):
-        if not value:
+        if value:
+            _render_dict(value, pad, out, texts)
+        else:
             out.append("{}")
-            return
-        inner = pad + "  "
-        lead, sep = "{\n" + inner, ",\n" + inner
-        for key, item in sorted(value.items()):
-            if not isinstance(key, str):
-                if not (key is None or isinstance(key, (int, float))):
-                    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-                key = json.dumps(key)
-            out.append(lead + _escape(key) + ": ")
-            lead = sep
-            kind = type(item)
-            if kind is str:
-                out.append(_escape(item))
-            elif kind is int:
-                out.append(int.__repr__(item))
-            elif kind is list and item and type(item[0]) is str:
-                memo_key = (inner, *item)
-                try:
-                    text = texts.get(memo_key)
-                    if text is None:
-                        text = texts[memo_key] = _string_list(item, inner)
-                except TypeError:  # an unhashable item, or one the escaper rejects
-                    _render(item, inner, out, texts)
-                else:
-                    out.append(text)
-            else:
-                _render(item, inner, out, texts)
-        out.append("\n" + pad + "}")
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
@@ -508,10 +554,18 @@ def _render(value: Any, pad: str, out: list[str], texts: dict[tuple, str]) -> No
                 pass
         inner = pad + "  "
         lead, sep = "[\n" + inner, ",\n" + inner
-        for item in value:
+        keys = plan = None
+        for item, following in zip(value, [*value[1:], None]):
             out.append(lead)
             lead = sep
-            _render(item, inner, out, texts)
+            if type(item) is not dict or not item:
+                _render(item, inner, out, texts)
+                continue
+            if plan is None or item.keys() != keys:
+                keys, plan = item.keys(), None
+                if type(following) is dict and following.keys() == keys:
+                    plan = _key_plan(item, inner + "  ", texts)
+            _render_dict(item, inner, out, texts, plan)
         out.append("\n" + pad + "]")
     else:
         out.append("null" if value is None else json.dumps(value))

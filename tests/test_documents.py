@@ -227,6 +227,69 @@ def test_dumps_canonical_writes_the_bytes_of_json_dumps(value):
     assert dumps_canonical(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
 
 
+class _ItemsOnly(dict):
+    """A dict whose ``[]`` disagrees with its items; ``json.dumps`` reads the items."""
+
+    def __getitem__(self, key):
+        return "not an item"
+
+
+#: a small key pool, so that a list repeats record shapes, as fan tables and traces do
+record_keys = st.sampled_from(["member", "entry", "\u00e9", "\ud800"])
+record_trees = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 2)
+    | st.sampled_from(["x", "\u00e9"])
+    | st.lists(st.sampled_from(["1/2", "1/3"]), max_size=3),
+    lambda children: st.lists(st.dictionaries(record_keys, children, min_size=1, max_size=2), max_size=8)
+    | st.lists(
+        st.dictionaries(record_keys, children, max_size=3)
+        | st.dictionaries(st.sampled_from([1, True, 1.0, 2.5, None]), children, max_size=1)
+        | children,
+        max_size=8,
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(value=record_trees)
+@example([{"member": 1, "entry": 2}, {"entry": 3, "member": 4}, {"member": 5, "entry": 6}])
+@example([{True: 0}, {1: 1}, {1.0: 2}])
+@example([{"member": 1}, {"member": 2}, {"member": 3, "entry": 4}, {"member": 5, "entry": 6}, {"entry": 7}])
+@example([{"member": 1}, {}, {"member": 2}, {}, {}, {"member": 3}])
+@example([{"member": 1}, {"member": 2}, _ItemsOnly(member=3), {"member": 4}])
+@example([{"member": 1}, {"member": 2}, {(1,): 3}])
+@example([{"member": 1}, {"member": 2}, {"member": 3, 1: 4}])
+@example([{"member": ["1/2"]}, {"member": ["1/2"]}, [{"member": ["1/2"]}, {"member": ["1/2"]}], {"entry": ["1/2"]}])
+def test_dumps_canonical_writes_runs_of_records_as_json_dumps_does(value):
+    try:
+        expected = json.dumps(value, sort_keys=True, indent=2) + "\n"
+    except TypeError as exc:
+        with pytest.raises(TypeError) as info:
+            dumps_canonical(value)
+        assert str(info.value) == str(exc)
+    else:
+        assert dumps_canonical(value) == expected
+
+
+def test_a_fan_table_escapes_each_record_key_once(monkeypatch):
+    table = [{"member": i, "entry": i + 1, "triplet": ["6/10", "3/10", "1/10"]} for i in range(50)]
+    expected = json.dumps({"fan_triplets": table}, sort_keys=True, indent=2) + "\n"
+    calls = []
+    escape = documents._escape
+
+    def counted(text):
+        calls.append(text)
+        return escape(text)
+
+    monkeypatch.setattr(documents, "_escape", counted)
+    assert dumps_canonical({"fan_triplets": table}) == expected
+    # the records share one key plan, so each key is escaped for the first record only
+    assert [calls.count(key) for key in ("member", "entry", "triplet")] == [1, 1, 1]
+
+
 def test_dumps_canonical_writes_a_path_trace_without_json_dumps(monkeypatch):
     doc = validate_document(TREE_DOC)
     payload = {"command": "find-path", "input": doc, "outputs": {"trace": documents.trace_to_json(construct_path(tree_choice(doc)))}}
@@ -696,6 +759,12 @@ SCHEMA_ERRORS = {
     "zorn-record-indices": (
         validate_document,
         edited(ZORN_DOC, fan_triplets=[ZORN_DOC["fan_triplets"][0], {"member": 0, "entry": "2"}]),
+        ("fan_triplets[1] needs integer 'member' and 'entry' indices", "fan_triplets[1]"),
+    ),
+    "zorn-record-bool-index": (
+        validate_document,
+        # (True, 2) hashes and compares as the fan pair (1, 2)
+        edited(ZORN_DOC, fan_triplets=[ZORN_DOC["fan_triplets"][0], {"member": True, "entry": 2}]),
         ("fan_triplets[1] needs integer 'member' and 'entry' indices", "fan_triplets[1]"),
     ),
     "zorn-record-superset": (
