@@ -17,7 +17,7 @@ import re
 import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _escape
-from typing import Any, Callable, NamedTuple
+from typing import Any, NamedTuple
 
 from .errors import BoundTooSmallError, NeutroChoiceError, ParseError, SchemaError
 from . import tree as tree_mod
@@ -73,36 +73,31 @@ def load_document(path: str) -> dict:
     return doc
 
 
-def _known(raw: Any, seen: dict) -> tuple[list[str], Triplet] | None:
-    """Canonical strings and ``Triplet`` of an entry ``_canonical_triplet``
-    has accepted in this call, or None.
+def _entry(raw: Any, seen: dict, where: str, *at: Any) -> tuple[list[str], Triplet]:
+    """Canonical strings and ``Triplet`` of one triplet entry.
 
-    Only a list can hit: ``tuple()`` of an object with the same three
-    string keys would equal a stored key.  An unhashable item is a miss,
-    which ``_canonical_triplet`` then rejects.
+    ``seen`` maps the raw strings of every entry accepted in this call to
+    both, so only a list can hit: ``tuple()`` of an object with the same
+    three string keys would equal a stored key.  A miss is checked and
+    parsed, and stored once valid; ``where.format(*at)`` names the entry,
+    on failure only.
     """
     if isinstance(raw, list):
         try:
             known = seen.get(tuple(raw))
-        except TypeError:
-            return None
+        except TypeError:  # an unhashable item, which the checks below reject
+            known = None
         if known is not None:
             return list(known[0]), known[1]
-    return None
-
-
-def _canonical_triplet(raw: Any, where: Callable[[], str], seen: dict) -> tuple[list[str], Triplet]:
-    """Canonical strings and ``Triplet`` of one triplet entry, stored in
-    ``seen`` under its raw strings once valid; ``where()`` names it, on
-    failure only."""
     if not (isinstance(raw, list) and len(raw) == 3):
-        raise SchemaError("triplet must be a 3-item list", address=where())
+        raise SchemaError("triplet must be a 3-item list", address=where.format(*at))
     if not all(isinstance(v, str) for v in raw):
-        raise SchemaError("triplet components must be 'num/den' strings", address=where())
+        raise SchemaError("triplet components must be 'num/den' strings", address=where.format(*at))
     try:
         triplet = parse_triplet(raw)
     except (NeutroChoiceError, ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"invalid triplet at {where()}: {exc}", address=where()) from exc
+        address = where.format(*at)
+        raise SchemaError(f"invalid triplet at {address}: {exc}", address=address) from exc
     strings = triplet.serialize()
     seen[tuple(raw)] = (tuple(strings), triplet)
     return strings, triplet
@@ -179,8 +174,8 @@ def _validate_family(doc: dict) -> tuple[dict, Core]:
                 raise SchemaError(f"assignment[{i}] names elements outside set {i}", address=f"assignment[{i}]")
             out_table = {}
             for element in raw_set:
-                out_table[element], triplets[i, element] = _known(table[element], seen) or _canonical_triplet(
-                    table[element], lambda: f"assignment[{i}][{element!r}]", seen
+                out_table[element], triplets[i, element] = _entry(
+                    table[element], seen, "assignment[{}][{!r}]", i, element
                 )
             out_assignment.append(out_table)
         out["assignment"] = out_assignment
@@ -214,9 +209,7 @@ def _validate_tree(doc: dict) -> tuple[dict, Core]:
             raise SchemaError("assignment names nodes outside the tree", address="assignment")
         out_table, triplets, seen = {}, {}, {}
         for node in closure:
-            out_table[node], triplets[node] = _known(table[node], seen) or _canonical_triplet(
-                table[node], lambda: f"assignment[{node!r}]", seen
-            )
+            out_table[node], triplets[node] = _entry(table[node], seen, "assignment[{!r}]", node)
         out["assignment"] = out_table
     return out, Core(tree, triplets)
 
@@ -269,10 +262,7 @@ def _validate_zorn(doc: dict) -> tuple[dict, Core]:
                 )
             if slot is not None:
                 raise SchemaError(f"fan_triplets[{i}] duplicates a pair", address=f"fan_triplets[{i}]")
-            raw = record.get("triplet")
-            slots[pair], triplets[pair] = _known(raw, seen) or _canonical_triplet(
-                raw, lambda: f"fan_triplets[{i}].triplet", seen
-            )
+            slots[pair], triplets[pair] = _entry(record.get("triplet"), seen, "fan_triplets[{}].triplet", i)
         for (member, entry), triplet in slots.items():
             if triplet is None:
                 raise SchemaError(
@@ -369,16 +359,11 @@ def tree_choice(doc: dict) -> tree_mod.TreeChoice:
     return tree_mod.build_tree_choice(tree_mod.build_tree(doc["strings"], doc["horizon"]), doc["assignment"])
 
 
-def zorn_family(doc: dict) -> ZornFamily:
-    """The inclusion family of a zorn document's ``members`` list."""
-    return ZornFamily(members=doc["members"])
-
-
 def zorn_inputs(doc: dict) -> tuple[ZornFamily, dict]:
     """The family and the raw fan entries of a canonical zorn document, by
     ``(member, entry)`` pair; :func:`zorn.find_maximal` parses the entries."""
-    family = zorn_family(doc)
-    return family, {(record["member"], record["entry"]): record["triplet"] for record in doc["fan_triplets"]}
+    entries = {(record["member"], record["entry"]): record["triplet"] for record in doc["fan_triplets"]}
+    return ZornFamily(members=doc["members"]), entries
 
 
 def report_to_json(report: MaximalReport) -> dict:
@@ -480,25 +465,12 @@ def _key_plan(value: dict, inner: str, texts: dict[str, dict]) -> tuple[list[str
     return keys, ("{\n" + inner + text + ": ").split("\0"), texts.setdefault(inner, {})
 
 
-def _render_dict(value: dict, pad: str, out: list[str], texts: dict[str, dict], plan: tuple | None = None) -> None:
-    """Append the ``indent=2`` text of a non-empty dict, on a line indented by
-    ``pad``, to ``out``: from its :func:`_key_plan` when one is given, else
-    from its sorted items, each key checked as ``json.dumps`` checks it when
-    it reaches it."""
+def _render_dict(value: dict, pad: str, out: list[str], texts: dict[str, dict], plan: tuple) -> None:
+    """Append the ``indent=2`` text of a non-empty plain dict, on a line
+    indented by ``pad``, to ``out``, from its :func:`_key_plan`."""
     inner = pad + "  "
-    if plan is None:
-        entries, lead, sep = sorted(value.items()), "{\n" + inner, ",\n" + inner
-        memo = texts.setdefault(inner, {})
-    else:
-        keys, heads, memo = plan
-        entries = zip(heads, map(value.__getitem__, keys))
-    for head, item in entries:
-        if plan is None:  # ``head`` is still the key
-            if not isinstance(head, str):
-                if not (head is None or isinstance(head, (int, float))):
-                    raise TypeError(f"keys must be str, int, float, bool or None, not {head.__class__.__name__}")
-                head = json.dumps(head)
-            head, lead = lead + _escape(head) + ": ", sep
+    keys, heads, memo = plan
+    for head, item in zip(heads, map(value.__getitem__, keys)):
         out.append(head)
         kind = type(item)
         if kind is str:
@@ -529,19 +501,28 @@ def _render(value: Any, pad: str, out: list[str], texts: dict[str, dict]) -> Non
     ``["a", 1]`` and ``["a", True]`` are equal tuples, and neither is ever
     stored.
 
-    A run of list items that are plain dicts with the same keys (a fan
-    table, a trace's stages) shares one :func:`_key_plan`, built for the
-    run's first dict, which has its successor to compare with.  A ``dict``
-    subclass is left out of runs: it may serve other items than its keys
-    and values.  Later dicts match a plan's keys by ``==``, so only an
-    object that is no ``str`` yet hashes and compares equal to one (which
-    ``json.dumps`` rejects as a key) would be written as that string.
+    Every non-empty plain dict renders from a :func:`_key_plan`, and a run
+    of list items with the same keys (a fan table, a trace's stages) shares
+    the plan of its first dict.  A ``dict`` subclass renders as the plain
+    dict of its items, which is what ``json.dumps`` reads.  A dict with a
+    key that is no ``str`` has no plan, and ``json.dumps`` writes it whole:
+    it escapes every newline inside a string, so each newline in its text
+    is structure and takes the current indentation.  Later dicts match a
+    plan's keys by ``==``, so only an object that is no ``str`` yet hashes
+    and compares equal to one (which ``json.dumps`` rejects as a key) would
+    be written as that string.
     """
     if isinstance(value, dict):
-        if value:
-            _render_dict(value, pad, out, texts)
-        else:
+        if not value:
             out.append("{}")
+            return
+        if type(value) is not dict:
+            value = dict(value.items())
+        plan = _key_plan(value, pad + "  ", texts)
+        if plan is None:
+            out.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + pad))
+        else:
+            _render_dict(value, pad, out, texts, plan)
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
@@ -555,17 +536,16 @@ def _render(value: Any, pad: str, out: list[str], texts: dict[str, dict]) -> Non
         inner = pad + "  "
         lead, sep = "[\n" + inner, ",\n" + inner
         keys = plan = None
-        for item, following in zip(value, [*value[1:], None]):
+        for item in value:
             out.append(lead)
             lead = sep
-            if type(item) is not dict or not item:
-                _render(item, inner, out, texts)
-                continue
-            if plan is None or item.keys() != keys:
-                keys, plan = item.keys(), None
-                if type(following) is dict and following.keys() == keys:
-                    plan = _key_plan(item, inner + "  ", texts)
-            _render_dict(item, inner, out, texts, plan)
+            if type(item) is dict and item:
+                if item.keys() != keys:
+                    keys, plan = item.keys(), _key_plan(item, inner + "  ", texts)
+                if plan is not None:
+                    _render_dict(item, inner, out, texts, plan)
+                    continue
+            _render(item, inner, out, texts)
         out.append("\n" + pad + "]")
     else:
         out.append("null" if value is None else json.dumps(value))
@@ -578,8 +558,9 @@ def dumps_canonical(payload: dict) -> str:
     every string is ASCII-escaped by the C escaper that ``json`` itself
     uses; every other leaf but ``null`` and a dict's ``int`` values takes
     its text from ``json.dumps``.  CPython's C encoder serves only ``indent=None``, so this walks
-    the payload here rather than in the pure-Python encoder; a value
-    ``json.dumps`` rejects raises the same ``TypeError``.
+    the payload here rather than in the pure-Python encoder, which writes
+    only a dict with a key that is no ``str``; a value ``json.dumps``
+    rejects raises the same ``TypeError``.
     """
     out: list[str] = []
     _render(payload, "", out, {})

@@ -181,8 +181,6 @@ def _compensate(pending: list[int], options: dict[int, list[int]]) -> dict[int, 
         del owner[held[member]]
         dead: set[int] = set()
         for entry in options[member]:
-            if entry in dead:
-                continue
             holder = owner.get(entry)
             if holder is None:
                 break

@@ -37,7 +37,7 @@ from neutrochoice import tree as tree_module
 from neutrochoice import triplet as triplet_module
 from neutrochoice import zorn as zorn_module
 from neutrochoice.cli import COMMANDS, main
-from neutrochoice.documents import dumps_canonical, family_choice, report_from_json, tree_choice, zorn_family
+from neutrochoice.documents import dumps_canonical, family_choice, report_from_json, tree_choice, zorn_inputs
 from test_documents import count_parses
 
 PAPER_FAMILY = {
@@ -352,11 +352,19 @@ def test_missing_document_is_a_parse_error(tmp_path, capsys):
     assert payload["diagnostics"][0]["type"] == "ParseError"
 
 
-def test_kind_mismatch_is_a_schema_error(tmp_path, capsys):
-    path = write_doc(tmp_path, "tree.json", CHAIN_TREE)
-    code, payload = run(capsys, "partition", path)
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        ("partition", CHAIN_TREE, "partition expects a family document, got 'tree'"),
+        ("classify", ZORN, "classify expects a family or tree document"),
+    ],
+    ids=["partition-tree", "classify-zorn"],
+)
+def test_kind_mismatch_is_a_schema_error(tmp_path, capsys, command, doc, message):
+    path = write_doc(tmp_path, "doc.json", doc)
+    code, payload = run(capsys, command, path)
     assert code == 2
-    assert payload["diagnostics"][0]["type"] == "SchemaError"
+    assert payload["diagnostics"] == [{"type": "SchemaError", "message": message, "address": "kind"}]
 
 
 def zorn_report_doc(path=(), value=None):
@@ -387,6 +395,7 @@ def zorn_report_doc(path=(), value=None):
         (zorn_report_doc(("report", "maximal", 0), True), "report.maximal"),
         (zorn_report_doc(("report", "successors", 1, "member"), True), "report.successors[1]"),
         (zorn_report_doc(("report", "successors", 0, "successor"), True), "report.successors[0]"),
+        (ZORN, "report"),
     ],
     ids=[
         "input-not-object",
@@ -396,6 +405,7 @@ def zorn_report_doc(path=(), value=None):
         "bool-maximal",
         "bool-successor-member",
         "bool-successor-index",
+        "no-report",
     ],
 )
 def test_verify_report_rejects_malformed_input(tmp_path, capsys, doc, address):
@@ -1207,7 +1217,7 @@ def test_find_maximal_on_2000_members(tmp_path, capsys, members, seed, expected)
         return
     report = report_from_json(payload["outputs"]["report"])
     assert "compensated" in {s["provenance"] for s in payload["outputs"]["report"]["successors"]}
-    assert verify_report(zorn_family(payload["input"]), report)
+    assert verify_report(zorn_inputs(payload["input"])[0], report)
     code, verdict = run(capsys, "verify-report", result_path)
     assert code == 0 and verdict["outputs"] == {"valid": True}
 

@@ -4,6 +4,7 @@ import collections
 import itertools
 import random
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -68,6 +69,27 @@ def test_build_tree_adds_prefixes():
 def test_build_tree_rejects_deep_strings():
     with pytest.raises(DepthExceededError):
         build_tree(["0110"], 3)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: build_tree(["2"], 1), ValueError, "not a binary string: '2'"),
+        (lambda: string_relation("0", "2"), ValueError, "not a binary string: '2'"),
+        (lambda: build_tree([], 0), ValueError, "horizon must be a positive integer, got 0"),
+        (lambda: enumerate_paths(full_binary_choice(1, lambda n: CHOSEN_HI), 0), ValueError, "count must be positive, got 0"),
+        (
+            lambda: construct_path(build_tree_choice(Tree(nodes=frozenset({""}), horizon=0), {"": CHOSEN_HI})),
+            PreconditionViolatedError,
+            "horizon must be at least 1",
+        ),
+    ],
+    ids=["build-tree-bits", "string-relation-bits", "build-tree-horizon", "enumerate-count", "construct-horizon"],
+)
+def test_tree_calls_reject_invalid_arguments(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
 
 
 def _every_prefix(strings) -> frozenset:
@@ -300,8 +322,20 @@ def spurred_spine_choice(k: int):
             ),
             1,
         ),
+        # the chosen pair 01, 10 would license a forward move into slot 1, which misses the horizon
+        (
+            lambda: build_tree_choice(
+                build_tree(["010", "011", "10"], 3),
+                {
+                    **dict.fromkeys(["0", "010", "011"], NOT_CHOSEN),
+                    **dict.fromkeys(["", "1", "01"], CHOSEN_HI),
+                    "10": ("8/10", "15/100", "5/100"),
+                },
+            ),
+            1,
+        ),
     ],
-    ids=["spurs-spent-before-the-last-dead-level", "first-dead-level"],
+    ids=["spurs-spent-before-the-last-dead-level", "first-dead-level", "forward-slot-misses-the-horizon"],
 )
 def test_a_failed_path_names_the_deepest_dead_level_reached(build, level):
     with pytest.raises(PreconditionViolatedError) as info:
@@ -431,18 +465,23 @@ def test_verify_trace_rejects_tampering():
     assert not verify_trace(tc, rebuilt(2, kind=StepKind.CHOSEN_MAX, compensator=None))
 
 
-def test_verify_trace_matches_the_reference_on_forged_stages():
-    """Every single-stage forgery of a constructed trace: each step kind with
-    no compensator or any node as the compensator."""
+def forgery_sample():
+    """Constructed traces to forge, with their tree choices (seed 4242)."""
     rng = random.Random(4242)
     groups = split_pool(triplet_pool(6))
-    verdicts: collections.Counter = collections.Counter()
     for _ in range(120):
         tc = sample_tree_choice(rng, groups, max_horizon=4)
         try:
-            trace = construct_path(tc)
+            yield tc, construct_path(tc)
         except PreconditionViolatedError:
             continue
+
+
+def test_verify_trace_matches_the_reference_on_forged_stages():
+    """Every single-stage forgery of a constructed trace: each step kind with
+    no compensator or any node as the compensator."""
+    verdicts: collections.Counter = collections.Counter()
+    for tc, trace in forgery_sample():
         for stage, kind, comp in itertools.product(
             trace.stages, StepKind, [None, *sorted(tc.tree.nodes)]
         ):
@@ -458,6 +497,39 @@ def test_verify_trace_matches_the_reference_on_forged_stages():
     # the sweep must accept and reject forgeries of both compensated kinds
     for kind in (StepKind.COMP_FORWARD, StepKind.COMP_BACKWARD):
         assert verdicts[kind, True] and verdicts[kind, False], verdicts
+
+
+def structural_forgeries(tc, trace):
+    """``(name, forged trace)`` for each change to a trace's shape: its last
+    stage dropped, a stage appended, one stage renumbered, one stage's kind
+    given as its string value, or one stage's node swapped for another
+    tree node."""
+    stages = trace.stages
+    yield "dropped", stages[:-1]
+    last = stages[-1]
+    yield "appended", (*stages, replace(last, index=last.index + 1, node=last.node + "0", compensator=None))
+    for s, stage in enumerate(stages):
+        forged = list(stages)
+        forged[s] = replace(stage, index=s + 1)
+        yield "renumbered", tuple(forged)
+        forged[s] = replace(stage, kind=stage.kind.value)
+        yield "kind value", tuple(forged)
+        for node in sorted(tc.tree.nodes - {stage.node}):
+            forged[s] = replace(stage, node=node)
+            yield "node swapped", tuple(forged)
+
+
+def test_verify_trace_matches_the_reference_on_forged_structure():
+    """Stage counts, indices, reach, lengths, prefix chains and kinds that
+    are no ``StepKind``: the checks the stage forgeries above leave alone."""
+    rejected: collections.Counter = collections.Counter()
+    for tc, trace in forgery_sample():
+        for name, stages in structural_forgeries(tc, trace):
+            forged = PathTrace(stages=stages)
+            valid = verify_trace(tc, forged)
+            assert valid == reference_verify_trace(tc, forged), (tc, forged)
+            rejected[name] += not valid
+    assert all(rejected[name] for name in ("dropped", "appended", "renumbered", "kind value", "node swapped")), rejected
 
 
 def test_construct_path_agrees_with_oracle_smoke():
