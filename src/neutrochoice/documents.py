@@ -15,7 +15,8 @@ import json
 import random
 import re
 import sys
-from itertools import chain
+from itertools import chain, repeat
+from operator import itemgetter
 from json.encoder import encode_basestring_ascii as _escape
 from typing import Any, NamedTuple
 
@@ -492,6 +493,51 @@ def _render_dict(value: dict, pad: str, out: list[str], texts: dict[str, dict], 
     out.append("\n" + pad + "}")
 
 
+def _render_run(run: list | tuple, pad: str, texts: dict[str, dict], plan: tuple) -> str:
+    """The ``indent=2`` text of two or more plain dicts with the keys of
+    ``plan``, each on a line indented by ``pad``, with their list's ``,``
+    line break between them; built one key at a time: an all-``int`` or
+    all-``str`` column in one ``map``, a string list from the memo, and
+    any other value through :func:`_render`."""
+    keys, heads, memo = plan
+    inner = pad + "  "
+    parts: list = []
+    for head, key in zip(heads, keys):
+        column = list(map(itemgetter(key), run))
+        kinds = set(map(type, column))
+        if kinds == {int}:
+            column = map(int.__repr__, column)
+        elif kinds == {str}:
+            column = map(_escape, column)
+        else:
+            for i, item in enumerate(column):
+                if type(item) is list and item and type(item[0]) is str:
+                    memo_key = tuple(item)
+                    try:
+                        text = memo.get(memo_key)
+                        if text is None:
+                            text = memo[memo_key] = _string_list(item, inner)
+                    except TypeError:  # an unhashable item, or one the escaper rejects
+                        pass
+                    else:
+                        column[i] = text
+                        continue
+                chunks: list[str] = []
+                _render(item, inner, chunks, texts)
+                column[i] = "".join(chunks)
+        parts += repeat(head), column
+    close = "\n" + pad + "}"
+    parts.append(chain(repeat(close + ",\n" + pad, len(run) - 1), (close,)))
+    return "".join(chain.from_iterable(zip(*parts)))
+
+
+def _dumps_whole(value: dict, pad: str) -> str:
+    """``json.dumps``'s ``indent=2`` text of a dict on a line indented by
+    ``pad``: it escapes every newline inside a string, so each newline in
+    its text is structure and takes the indentation."""
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + pad)
+
+
 def _render(value: Any, pad: str, out: list[str], texts: dict[str, dict]) -> None:
     """Append the ``indent=2`` text of ``value``, on a line indented by ``pad``, to ``out``.
 
@@ -501,16 +547,17 @@ def _render(value: Any, pad: str, out: list[str], texts: dict[str, dict]) -> Non
     ``["a", 1]`` and ``["a", True]`` are equal tuples, and neither is ever
     stored.
 
-    Every non-empty plain dict renders from a :func:`_key_plan`, and a run
-    of list items with the same keys (a fan table, a trace's stages) shares
-    the plan of its first dict.  A ``dict`` subclass renders as the plain
-    dict of its items, which is what ``json.dumps`` reads.  A dict with a
-    key that is no ``str`` has no plan, and ``json.dumps`` writes it whole:
-    it escapes every newline inside a string, so each newline in its text
-    is structure and takes the current indentation.  Later dicts match a
-    plan's keys by ``==``, so only an object that is no ``str`` yet hashes
-    and compares equal to one (which ``json.dumps`` rejects as a key) would
-    be written as that string.
+    Every non-empty plain dict renders from a :func:`_key_plan`.  In a
+    list, a run of two or more plain dicts with the same keys (a fan table,
+    a trace's stages) shares the plan of its first dict and is written one
+    key at a time by :func:`_render_run`; a dict alone in its run takes
+    :func:`_render_dict`.  A ``dict`` subclass renders as the plain dict of
+    its items, which is what ``json.dumps`` reads, and never joins a run.
+    A dict with a key that is no ``str`` has no plan, and ``json.dumps``
+    writes it whole, as it writes each dict of such a run.  Later dicts
+    match a plan's keys by ``==``, so only an object that is no ``str`` yet
+    hashes and compares equal to one (which ``json.dumps`` rejects as a
+    key) would be written as that string.
     """
     if isinstance(value, dict):
         if not value:
@@ -520,7 +567,7 @@ def _render(value: Any, pad: str, out: list[str], texts: dict[str, dict]) -> Non
             value = dict(value.items())
         plan = _key_plan(value, pad + "  ", texts)
         if plan is None:
-            out.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + pad))
+            out.append(_dumps_whole(value, pad))
         else:
             _render_dict(value, pad, out, texts, plan)
     elif isinstance(value, (list, tuple)):
@@ -535,17 +582,33 @@ def _render(value: Any, pad: str, out: list[str], texts: dict[str, dict]) -> Non
                 pass
         inner = pad + "  "
         lead, sep = "[\n" + inner, ",\n" + inner
-        keys = plan = None
-        for item in value:
+        start, end = 0, len(value)
+        while start < end:
+            item = value[start]
             out.append(lead)
             lead = sep
-            if type(item) is dict and item:
-                if item.keys() != keys:
-                    keys, plan = item.keys(), _key_plan(item, inner + "  ", texts)
-                if plan is not None:
+            stop = start + 1
+            if type(item) is not dict or not item:
+                _render(item, inner, out, texts)
+            else:
+                keys = item.keys()
+                while stop < end and type(value[stop]) is dict and value[stop].keys() == keys:
+                    stop += 1
+                plan = _key_plan(item, inner + "  ", texts)
+                if plan is None:
+                    out.append(sep.join(_dumps_whole(record, inner) for record in value[start:stop]))
+                elif stop - start == 1:
                     _render_dict(item, inner, out, texts, plan)
-                    continue
-            _render(item, inner, out, texts)
+                else:
+                    run = value[start:stop]
+                    try:
+                        out.append(_render_run(run, inner, texts, plan))
+                    except TypeError:
+                        # json.dumps rejects the first bad value in record order, not column order
+                        for record in run:
+                            _render_dict(record, inner, [], texts, plan)
+                        raise
+            start = stop
         out.append("\n" + pad + "]")
     else:
         out.append("null" if value is None else json.dumps(value))
@@ -557,10 +620,13 @@ def dumps_canonical(payload: dict) -> str:
     Keys are sorted, items sit one per line indented by two spaces, and
     every string is ASCII-escaped by the C escaper that ``json`` itself
     uses; every other leaf but ``null`` and a dict's ``int`` values takes
-    its text from ``json.dumps``.  CPython's C encoder serves only ``indent=None``, so this walks
-    the payload here rather than in the pure-Python encoder, which writes
-    only a dict with a key that is no ``str``; a value ``json.dumps``
-    rejects raises the same ``TypeError``.
+    its text from ``json.dumps``.  A run of same-keyed records in a list is
+    written one key at a time, each all-``int`` or all-``str`` column in
+    one ``map``.  CPython's C encoder serves only ``indent=None``, so this
+    walks the payload here rather than in the pure-Python encoder, which
+    writes only a dict with a key that is no ``str``; a value
+    ``json.dumps`` rejects raises the same ``TypeError``, naming the first
+    such value in ``json.dumps``'s order.
     """
     out: list[str] = []
     _render(payload, "", out, {})

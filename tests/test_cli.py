@@ -948,6 +948,23 @@ def test_outputs_do_not_depend_on_the_string_hash_seed(tmp_path):
     assert len(set(digests)) == 1, digests
 
 
+@pytest.mark.parametrize(
+    "argv, status",
+    [(["find-maximal", "zorn.json"], 0), (["classify", "absent.json"], 2)],
+    ids=["find-maximal", "classify-missing-file"],
+)
+def test_the_module_runs_as_a_script(tmp_path, capsys, argv, status):
+    # `python -m neutrochoice.cli` reaches main through the __main__ guard, with its status as the exit code
+    write_doc(tmp_path, "zorn.json", ZORN)
+    argv = [argv[0], str(tmp_path / argv[1])]
+    assert main(argv) == status
+    expected = capsys.readouterr().out.encode()
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-m", "neutrochoice.cli", *argv], env=env, capture_output=True, timeout=60)
+    assert (child.returncode, child.stdout, child.stderr) == (status, expected, b"")
+
+
 def count_fan_builds(monkeypatch) -> list:
     """Record every family whose ``ZornFamily.fans`` table is built."""
     built = []

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import sys
+import time
 import weakref
 from fractions import Fraction
 
@@ -263,6 +264,15 @@ record_trees = st.recursive(
 @example([{"member": 1}, {"member": 2}, {(1,): 3}])
 @example([{"member": 1}, {"member": 2}, {"member": 3, 1: 4}])
 @example([{"member": ["1/2"]}, {"member": ["1/2"]}, [{"member": ["1/2"]}, {"member": ["1/2"]}], {"entry": ["1/2"]}])
+# one key's column in a run mixing the types an all-int or all-str column must not take
+@example([{"k": v, "n": 0} for v in (1, True, 1.0, None, 2**70, float("nan"))])
+@example([{"k": 1}, {"k": 1.0}, {"k": 2**70}, {"k": float("nan")}])
+@example([{"k": v, "n": 0} for v in ("\u00e9", [], {"a": ["1/2"], "b": 1}, "x")])
+@example([{"k": ["a", 1]}, {"k": ["a", True]}, {"k": ["a", "1"]}, {"k": ["a", 1]}, {"k": ["a", True]}])
+@example([{"k": 1}, {"k": 2}, _ItemsOnly(k=3), {"k": 4}, {"k": 5}])
+@example([{"k": 1}, {"k": Fraction(1, 2)}, {"k": 3}])
+# json.dumps names the first value it rejects in record order, here the Fraction, not the set
+@example([{"a": 1, "b": Fraction(1, 2)}, {"a": {1}, "b": 2}])
 def test_dumps_canonical_writes_runs_of_records_as_json_dumps_does(value):
     try:
         expected = json.dumps(value, sort_keys=True, indent=2) + "\n"
@@ -272,6 +282,19 @@ def test_dumps_canonical_writes_runs_of_records_as_json_dumps_does(value):
         assert str(info.value) == str(exc)
     else:
         assert dumps_canonical(value) == expected
+
+
+def count_key_plans(monkeypatch) -> list:
+    """Record the sorted keys of every dict that ``documents._key_plan`` plans."""
+    planned = []
+    key_plan = documents._key_plan
+
+    def counted(value, inner, texts):
+        planned.append(sorted(map(str, value)))
+        return key_plan(value, inner, texts)
+
+    monkeypatch.setattr(documents, "_key_plan", counted)
+    return planned
 
 
 def test_a_fan_table_escapes_each_record_key_once(monkeypatch):
@@ -285,9 +308,33 @@ def test_a_fan_table_escapes_each_record_key_once(monkeypatch):
         return escape(text)
 
     monkeypatch.setattr(documents, "_escape", counted)
+    planned = count_key_plans(monkeypatch)
     assert dumps_canonical({"fan_triplets": table}) == expected
     # the records share one key plan, so each key is escaped for the first record only
     assert [calls.count(key) for key in ("member", "entry", "triplet")] == [1, 1, 1]
+    assert planned == [["fan_triplets"], ["entry", "member", "triplet"]]
+
+
+def test_a_trace_plans_its_stages_once_per_run(monkeypatch):
+    doc = validate_document(TREE_DOC)
+    trace = documents.trace_to_json(construct_path(tree_choice(doc)))
+    stages = trace["stages"]
+    assert len(stages) >= 2
+    # a record of another shape splits the stages into two runs, which plan their keys once each
+    payload = {"stages": stages + [{"other": 1}] + stages}
+    planned = count_key_plans(monkeypatch)
+    assert dumps_canonical(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    assert planned == [["stages"], sorted(stages[0]), ["other"], sorted(stages[0])]
+
+
+def test_a_long_run_of_records_without_a_plan_is_written_in_one_pass():
+    # every record has the key set {1}, which has no key plan; the run is still found once, not per record
+    value = [{1: i} for i in range(20000)]
+    started = time.perf_counter()
+    text = dumps_canonical(value)
+    elapsed = time.perf_counter() - started
+    assert text == json.dumps(value, sort_keys=True, indent=2) + "\n"
+    assert elapsed < 5
 
 
 def test_dumps_canonical_writes_a_path_trace_without_json_dumps(monkeypatch):

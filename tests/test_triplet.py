@@ -11,6 +11,7 @@ from neutrochoice import (
     BoundTooSmallError,
     MissingAssignmentError,
     OutOfRangeError,
+    RetryLimitError,
     SetFamily,
     SumNotOneError,
     ThresholdOutOfRangeError,
@@ -425,6 +426,22 @@ def test_random_triplet_sequences_differ_across_seeds():
 def test_random_triplet_rejects_small_bound():
     with pytest.raises(BoundTooSmallError):
         random_triplet(random.Random(42), 3)
+
+
+def test_random_triplet_gives_up_after_the_retry_cap():
+    class TiedDraws:
+        """Always the bars 0 and 1, which leave the first two parts tied at 0."""
+
+        draws = 0
+
+        def sample(self, population, k):
+            self.draws += 1
+            return [0, 1]
+
+    rng = TiedDraws()
+    with pytest.raises(RetryLimitError, match="no tie-free composition of 10 found after 1000 draws"):
+        random_triplet(rng, 10)
+    assert rng.draws == triplet_module._RETRY_CAP == 1000
 
 
 def test_random_triplet_fuzz_always_valid():
