@@ -215,7 +215,7 @@ def _validate_tree(doc: dict) -> tuple[dict, Core]:
     return out, Core(tree, triplets)
 
 
-#: what ``_validate_zorn``'s slot table gives for a pair that is not a fan pair
+#: what ``_validate_zorn``'s fan rows give for a pair that is not a fan pair
 _NOT_A_FAN_PAIR = object()
 
 
@@ -242,8 +242,9 @@ def _validate_zorn(doc: dict) -> tuple[dict, Core]:
         raw_table = doc["fan_triplets"]
         if not isinstance(raw_table, list):
             raise SchemaError("fan_triplets must be a list", address="fan_triplets")
-        # fan order; each slot holds its pair's triplet once one is read
-        slots: dict[tuple[int, int], list[str] | None] = dict.fromkeys(zorn_mod.fan_pairs(family))
+        # one row per member, in fan order; each slot holds its pair's triplet once one is read
+        rows: list[dict[int, list[str] | None]] = [dict.fromkeys(fan) for fan in family.fans]
+        count = len(rows)
         triplets, seen = {}, {}
         for i, record in enumerate(raw_table):
             if not isinstance(record, dict):
@@ -254,8 +255,9 @@ def _validate_zorn(doc: dict) -> tuple[dict, Core]:
                 raise SchemaError(
                     f"fan_triplets[{i}] needs integer 'member' and 'entry' indices", address=f"fan_triplets[{i}]"
                 )
-            pair = member, entry
-            slot = slots.get(pair, _NOT_A_FAN_PAIR)
+            # a negative index would read another member's row
+            row = rows[member] if 0 <= member < count else {}
+            slot = row.get(entry, _NOT_A_FAN_PAIR)
             if slot is _NOT_A_FAN_PAIR:
                 raise SchemaError(
                     f"fan_triplets[{i}]: member {entry} is not a strict superset of member {member}",
@@ -263,15 +265,18 @@ def _validate_zorn(doc: dict) -> tuple[dict, Core]:
                 )
             if slot is not None:
                 raise SchemaError(f"fan_triplets[{i}] duplicates a pair", address=f"fan_triplets[{i}]")
-            slots[pair], triplets[pair] = _entry(record.get("triplet"), seen, "fan_triplets[{}].triplet", i)
-        for (member, entry), triplet in slots.items():
-            if triplet is None:
-                raise SchemaError(
-                    f"fan_triplets is missing the pair (member {member}, entry {entry})",
-                    address=f"fan_triplets({member},{entry})",
-                )
+            row[entry], triplets[member, entry] = _entry(record.get("triplet"), seen, "fan_triplets[{}].triplet", i)
+        for member, row in enumerate(rows):
+            for entry, triplet in row.items():
+                if triplet is None:
+                    raise SchemaError(
+                        f"fan_triplets is missing the pair (member {member}, entry {entry})",
+                        address=f"fan_triplets({member},{entry})",
+                    )
         out["fan_triplets"] = [
-            {"member": member, "entry": entry, "triplet": triplet} for (member, entry), triplet in slots.items()
+            {"member": member, "entry": entry, "triplet": triplet}
+            for member, row in enumerate(rows)
+            for entry, triplet in row.items()
         ]
     return out, Core(family, triplets)
 

@@ -160,6 +160,10 @@ def make_triplet(p_chosen, p_not_chosen, p_indeterminate) -> Triplet:
     return Triplet(p_chosen, p_not_chosen, p_indeterminate)
 
 
+#: what ``triplet_table`` reads for a key its mapping lacks
+_ABSENT = object()
+
+
 def triplet_table(keys: Iterable, triplets: Mapping, where: Callable) -> dict:
     """Validated triplets for ``keys``, in key order.
 
@@ -171,11 +175,12 @@ def triplet_table(keys: Iterable, triplets: Mapping, where: Callable) -> dict:
     ``ZeroDivisionError``, which carries no address, with the label only).
     """
     table: dict = {}
+    get = triplets.get
     for key in keys:
-        if key not in triplets:
+        raw = get(key, _ABSENT)
+        if raw is _ABSENT:
             label, address = where(key)
             raise MissingAssignmentError(f"no triplet assigned to {label}", address=address)
-        raw = triplets[key]
         try:
             table[key] = raw if isinstance(raw, Triplet) else parse_triplet(raw)
         except NeutroChoiceError as exc:

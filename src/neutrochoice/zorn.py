@@ -48,10 +48,10 @@ class ZornFamily:
         """``fans[i]``: ascending indices of member ``i``'s strict supersets,
         built on first read; not a field, so ``==``, hash and repr ignore it."""
         members = self.members
-        return tuple(
-            tuple(index for index, other in enumerate(members) if base < other)
+        return tuple([
+            tuple([index for index, other in enumerate(members) if base < other])
             for base in members
-        )
+        ])
 
 
 @dataclass(frozen=True)
@@ -209,9 +209,15 @@ def find_maximal(family: ZornFamily, fan_triplets: Mapping) -> MaximalReport:
     """
     fans = family.fans
     pairs = ((base, entry) for base, fan in enumerate(fans) for entry in fan)
-    table = triplet_table(pairs, fan_triplets, _fan_where)
-    # p_chosen is compared through its dense rank, an int
-    rank = rank_table(table)
+    cells = iter(triplet_table(pairs, fan_triplets, _fan_where).values())
+    # each fan's chosen (triplet, entry) records in fan order; zip reads the fan
+    # first, so each row takes exactly its fan's cells
+    chosen = [
+        [(triplet, entry) for entry, triplet in zip(fan, cells) if triplet.verdict is Verdict.CHOSEN]
+        for fan in fans
+    ]
+    # p_chosen is compared through its dense rank, an int, read per chosen triplet object
+    rank = rank_table({id(triplet): triplet for records in chosen for triplet, _ in records})
     maximal = tuple(index for index, fan in enumerate(fans) if not fan)
     successors: dict[int, SuccessorEntry] = {}
     marked: set[int] = set()
@@ -219,23 +225,22 @@ def find_maximal(family: ZornFamily, fan_triplets: Mapping) -> MaximalReport:
     # best record (-rank, donor) of every chosen fan entry
     best: dict[int, tuple] = {}
 
-    for base_index, fan in enumerate(fans):
-        chosen_entries = [
-            entry for entry in fan
-            if table[(base_index, entry)].verdict is Verdict.CHOSEN
-        ]
-        for entry in chosen_entries:
-            record = (-rank[(base_index, entry)], base_index)
-            if entry not in best or record < best[entry]:
-                best[entry] = record
-        if chosen_entries:
-            # fan entries ascend, and max keeps the first of equals
-            top = max(chosen_entries, key=lambda entry: rank[(base_index, entry)])
+    for base_index, records in enumerate(chosen):
+        if records:
+            top_rank = -1
+            for triplet, entry in records:
+                entry_rank = rank[id(triplet)]
+                record = (-entry_rank, base_index)
+                if entry not in best or record < best[entry]:
+                    best[entry] = record
+                # fan entries ascend, and only a strictly higher rank moves the top: the first of equals stays
+                if entry_rank > top_rank:
+                    top, top_rank = entry, entry_rank
             marked.add(top)
             successors[base_index] = SuccessorEntry(
                 successor_index=top, provenance=Provenance.DIRECT
             )
-        elif fan:
+        elif fans[base_index]:
             pending.append(base_index)
 
     if pending:

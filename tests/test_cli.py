@@ -7,8 +7,10 @@ import copy
 import functools
 import importlib.util
 import io
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -996,6 +998,48 @@ def test_each_inclusion_family_builds_its_fan_table_once(tmp_path, capsys, monke
     code, payload = run(capsys, command, write_doc(tmp_path, "zorn.json", doc))
     assert code == 0 and payload["outputs"]
     assert len(built) == builds
+
+
+#: the 14 non-empty proper subsets of four atoms, whose drawn fan tables
+#: (36 records) compensate one member at seed 1 and leave members [4, 5, 6]
+#: too few entries at seed 9
+SUBSETS = [list(atoms) for size in range(1, 4) for atoms in itertools.combinations("abcd", size)]
+
+
+def drawn_zorn(seed: int) -> dict:
+    return documents.generate_assignment({"kind": "zorn", "members": SUBSETS, "rng": {"seed": seed, "denominator_bound": 10}})
+
+
+@pytest.mark.parametrize("seed", [None, 1, 9], ids=["direct", "compensated", "exhausted"])
+def test_fan_record_order_changes_no_output_byte(tmp_path, capsys, seed):
+    # validation writes fan records in fan order, so find-maximal and verify-report never see the input's order
+    doc = ZORN if seed is None else drawn_zorn(seed)
+
+    def outputs(records: list, tag: str, report: dict) -> tuple:
+        fan_doc = {**doc, "fan_triplets": records}
+        result = tmp_path / f"{tag}-result.json"
+        code = main(["find-maximal", write_doc(tmp_path, f"{tag}.json", fan_doc), "--output", str(result)])
+        found = code, capsys.readouterr().out, result.read_bytes()
+        code = main(["verify-report", write_doc(tmp_path, f"{tag}-check.json", {**fan_doc, "report": report})])
+        return found, (code, capsys.readouterr().out)
+
+    (code, _, result), _ = outputs(doc["fan_triplets"], "canonical", ZORN_REPORT)
+    payload = json.loads(result)
+    if seed == 9:
+        assert code == 1 and payload["diagnostics"][0]["type"] == "CompensationExhausted"
+        report = ZORN_REPORT
+    else:
+        # verify-report then checks find-maximal's own report
+        report = payload["outputs"]["report"]
+        provenances = {record["provenance"] for record in report["successors"]}
+        assert code == 0 and ("compensated" in provenances) == (seed == 1)
+    canonical = outputs(doc["fan_triplets"], "canonical", report)
+    assert json.loads(canonical[1][1])["outputs"] == {"valid": seed != 9}
+    shuffled = list(doc["fan_triplets"])
+    random.Random(7).shuffle(shuffled)
+    assert shuffled != doc["fan_triplets"]
+    assert outputs(shuffled, "shuffled", report) == canonical
+    assert outputs(doc["fan_triplets"][::-1], "reversed", report) == canonical
 
 
 def test_only_find_maximal_runs_a_triplet_table_pass(tmp_path, capsys, monkeypatch):

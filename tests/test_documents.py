@@ -819,6 +819,22 @@ SCHEMA_ERRORS = {
         edited(ZORN_DOC, fan_triplets=[ZORN_DOC["fan_triplets"][0], {"member": 2, "entry": 1}]),
         ("fan_triplets[1]: member 1 is not a strict superset of member 2", "fan_triplets[1]"),
     ),
+    # a negative member would index member 0's row (3 - 3), where entry 1 is a fan pair
+    "zorn-record-negative-member": (
+        validate_document,
+        edited(ZORN_DOC, fan_triplets=[ZORN_DOC["fan_triplets"][0], {"member": -3, "entry": 1}]),
+        ("fan_triplets[1]: member 1 is not a strict superset of member -3", "fan_triplets[1]"),
+    ),
+    "zorn-record-member-past-end": (
+        validate_document,
+        edited(ZORN_DOC, fan_triplets=[ZORN_DOC["fan_triplets"][0], {"member": 3, "entry": 1}]),
+        ("fan_triplets[1]: member 1 is not a strict superset of member 3", "fan_triplets[1]"),
+    ),
+    "zorn-record-negative-entry": (
+        validate_document,
+        edited(ZORN_DOC, fan_triplets=[ZORN_DOC["fan_triplets"][0], {"member": 0, "entry": -1}]),
+        ("fan_triplets[1]: member -1 is not a strict superset of member 0", "fan_triplets[1]"),
+    ),
     "zorn-record-duplicate": (
         validate_document,
         edited(ZORN_DOC, fan_triplets=[ZORN_DOC["fan_triplets"][0]] * 2),

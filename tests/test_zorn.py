@@ -16,6 +16,7 @@ from neutrochoice import (
     Provenance,
     SetFamily,
     SuccessorEntry,
+    Verdict,
     ZornFamily,
     allocate_compensators,
     build_choice,
@@ -557,3 +558,45 @@ def test_fan_selection_agrees_with_family_discipline():
     plan = allocate_compensators(mirrored_choice)
     assert (0, "2") in plan.marks  # reserved top, never a compensator
     assert plan.pairs[0].compensator in {"1", "3"}
+
+
+#: unchosen triplets whose p_chosen, 9/20 and 47/100, lies above that of every
+#: chosen triplet in ``LOW_CHOSEN``
+HIGH_UNCHOSEN = [make_triplet("9/20", "1/20", "1/2"), make_triplet("47/100", "3/100", "1/2")]
+LOW_CHOSEN = [t for t in split_pool(triplet_pool(20))["chosen"] if t.p_chosen < HIGH_UNCHOSEN[0].p_chosen]
+
+
+def _maximal_outcome(family, table):
+    """find_maximal's report with its successor order, or its exhaustion text and address."""
+    try:
+        report = find_maximal(family, table)
+    except CompensationExhaustedError as exc:
+        return str(exc), exc.address
+    return report, list(report.successors.items())
+
+
+def test_unchosen_fan_triplets_do_not_move_find_maximal():
+    # only chosen entries are ranked and compared, so swapping every unchosen
+    # triplet for another, even one whose p_chosen tops every chosen entry's,
+    # leaves the report or the exhaustion diagnostic as it was
+    rng = random.Random(2929)
+    wide = split_pool(triplet_pool(6))
+    low = {**wide, "chosen": LOW_CHOSEN}
+    unchosen = wide["not_chosen"] + wide["indeterminate"] + HIGH_UNCHOSEN
+    counts = Counter()
+    for trial in range(240):
+        groups = low if trial % 2 else wide
+        if trial % 3:
+            family, table = sample_zorn_instance(rng, groups, max_members=rng.choice((6, 10, 16)))
+        else:
+            family, table = sample_starved_zorn(rng, groups, rng.choice((20, 40)), feasible=trial % 4 == 0)
+        expected = _maximal_outcome(family, table)
+        counts["exhausted" if isinstance(expected[0], str) else "served"] += 1
+        top_chosen = max((t.p_chosen for t in table.values() if t.verdict is Verdict.CHOSEN), default=1)
+        for swap in (lambda: rng.choice(unchosen), lambda: HIGH_UNCHOSEN[1]):
+            swapped = {pair: t if t.verdict is Verdict.CHOSEN else swap() for pair, t in table.items()}
+            assert _maximal_outcome(family, swapped) == expected
+            counts["above"] += any(
+                t.verdict is not Verdict.CHOSEN and t.p_chosen > top_chosen for t in swapped.values()
+            )
+    assert counts["exhausted"] >= 50 and counts["served"] >= 80 and counts["above"] >= 80, counts
