@@ -72,19 +72,23 @@ class Tree:
         """``levels[m]``: the level-``m`` nodes in lexicographic order, levels
         ascending; the one canonical order of the tree's nodes."""
         grouped: dict[int, list[str]] = {}
-        # the sort by length is stable, so each level keeps lexicographic order
-        for node in sorted(sorted(self.nodes), key=len):
+        for node in self.nodes:
             grouped.setdefault(len(node), []).append(node)
-        return {level: tuple(nodes) for level, nodes in grouped.items()}
+        return {level: tuple(sorted(grouped[level])) for level in sorted(grouped)}
 
     @cached_property
     def reach(self) -> dict[str, int]:
-        """``reach[node]``: the greatest level reachable from ``node``, filled
-        bottom-up through its children."""
+        """``reach[node]``: the greatest level reachable from ``node`` through
+        children in the tree.  The walk up from each node, deepest first,
+        stops at a prefix already filled (by a deeper node, as are all its
+        prefixes) or absent from ``nodes``, so every node is written once."""
         reach: dict[str, int] = {}
-        for level, nodes in reversed(self.levels.items()):
-            for node in nodes:
-                reach[node] = max(level, reach.get(node + "0", 0), reach.get(node + "1", 0))
+        nodes = self.nodes
+        for level, group in reversed(self.levels.items()):
+            for node in group:
+                while node not in reach and node in nodes:
+                    reach[node] = level
+                    node = node[:-1]
         return reach
 
     def candidates(self, node: str | None) -> list[str]:

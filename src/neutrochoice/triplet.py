@@ -122,14 +122,18 @@ class Triplet:
         object.__setattr__(self, "p_chosen", i)
         object.__setattr__(self, "p_not_chosen", j)
         object.__setattr__(self, "p_indeterminate", k)
-        # The checks run on numerators and denominators: a Fraction keeps its
-        # denominator positive and its terms lowest, so equal values have
-        # equal parts, and Fraction arithmetic is left to the error messages.
-        a, b, c = i.numerator, j.numerator, k.numerator
-        x, y, z = i.denominator, j.denominator, k.denominator
-        for name, num, den in (("p_chosen", a, x), ("p_not_chosen", b, y), ("p_indeterminate", c, z)):
-            if num < 0 or num > den:
-                raise OutOfRangeError(f"{name}={num}/{den} lies outside [0, 1]", address=name)
+        # The checks run on numerators and denominators, each read once with
+        # as_integer_ratio: a Fraction keeps its denominator positive and its
+        # terms lowest, so equal values have equal parts, and Fraction
+        # arithmetic is left to the error messages.  The named loop runs only
+        # on a failed range check, to name the first bad component.
+        a, x = i.as_integer_ratio()
+        b, y = j.as_integer_ratio()
+        c, z = k.as_integer_ratio()
+        if not (0 <= a <= x and 0 <= b <= y and 0 <= c <= z):
+            for name, num, den in (("p_chosen", a, x), ("p_not_chosen", b, y), ("p_indeterminate", c, z)):
+                if num < 0 or num > den:
+                    raise OutOfRangeError(f"{name}={num}/{den} lies outside [0, 1]", address=name)
         if a * y * z + b * x * z + c * x * y != x * y * z:
             raise SumNotOneError(f"components sum to {format_rational(i + j + k)}, not 1")
         if (a == b and x == y) or (b == c and y == z) or (a == c and x == z):

@@ -563,6 +563,15 @@ def reference_verify_report(family: ZornFamily, report: MaximalReport) -> bool:
     return all(successor not in direct for successor in compensators)
 
 
+def eager_reach(nodes) -> dict[str, int]:
+    """Each node's deepest reachable level, filled deepest node first
+    through its ``+ "0"`` / ``+ "1"`` children inside ``nodes``."""
+    reach: dict[str, int] = {}
+    for node in sorted(nodes, key=len, reverse=True):
+        reach[node] = max([len(node)] + [reach[node + bit] for bit in "01" if node + bit in nodes])
+    return reach
+
+
 class _EagerPathSearch:
     """Depth-first stage construction that lists each stage's moves in full."""
 
@@ -570,11 +579,7 @@ class _EagerPathSearch:
         self.tc = tc
         self.nodes = tc.tree.nodes
         self.horizon = tc.tree.horizon
-        self.reach: dict[str, int] = {}
-        for node in sorted(self.nodes, key=len, reverse=True):
-            self.reach[node] = max(
-                [len(node)] + [self.reach[node + bit] for bit in "01" if node + bit in self.nodes]
-            )
+        self.reach = eager_reach(self.nodes)
         self.by_level: dict[int, list[str]] = {}
         for node in sorted(self.nodes):
             self.by_level.setdefault(len(node), []).append(node)

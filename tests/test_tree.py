@@ -33,6 +33,7 @@ from neutrochoice import (
     verify_trace,
 )
 from oracles import (
+    eager_reach,
     oracle_valid_final_paths,
     reference_construct_path,
     reference_verify_trace,
@@ -204,11 +205,21 @@ def test_the_tree_index_matches_a_brute_force_build(strings):
 
 @given(st.frozensets(st.text(alphabet="01", max_size=12), max_size=60))
 @example(frozenset({"", "1", "0", "11", "01", "10", "00", "011", "1000"}))
+@example(frozenset({"", "01", "011"}))
 def test_levels_keep_the_length_then_lexicographic_order(nodes):
-    # levels sorts lexicographically, then stably by length; the old one-pass key pins the order
+    # the node sets need not be prefix-closed: reach climbs only through nodes of the set
     tree = Tree(nodes=nodes, horizon=12)
     assert list(itertools.chain.from_iterable(tree.levels.values())) == sorted(nodes, key=lambda n: (len(n), n))
     assert list(tree.levels) == sorted({len(n) for n in nodes})
+    assert tree.reach.keys() == nodes
+    assert tree.reach == eager_reach(nodes)
+
+
+def test_the_index_of_a_horizon_1500_chain():
+    tree = build_tree(["0" * 1500], 1500)
+    assert len(tree.levels) == 1501
+    assert tree.reach.keys() == tree.nodes
+    assert set(tree.reach.values()) == {1500}
 
 
 def test_build_tree_choice_requires_totality():
