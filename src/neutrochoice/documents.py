@@ -454,20 +454,17 @@ def _string_list(items: list | tuple, pad: str) -> str:
     return "[\n" + inner + (",\n" + inner).join(map(_escape, items)) + "\n" + pad + "]"
 
 
-def _key_plan(value: dict, inner: str, texts: dict[str, dict]) -> tuple[list[str], list[str], dict] | None:
+def _key_plan(value: dict, inner: str, texts: dict[str, dict]) -> tuple[list[str], list[str], dict]:
     """The key plan of a dict whose items sit on lines indented by ``inner``:
     its keys in ``json.dumps(sort_keys=True)`` order, the text that leads
     each key's item (its ``{`` or ``,`` line break and its escaped
     ``"key": ``), and ``texts``' string-list memo for that indentation.
-    None unless every key is a ``str``, which the escaper checks: equal key
-    sets of other types can render differently
+    Sorting mixed keys, or escaping a key that is no ``str``, raises
+    ``TypeError``: equal key sets of other types can render differently
     (``{True: 0}.keys() == {1: 0}.keys()``)."""
-    try:  # sorting mixed keys, or escaping one that is not a str, raises
-        keys = sorted(value)
-        # escaped text is ASCII with every control character spelled out, so NUL can split it
-        text = (": \0,\n" + inner).join(map(_escape, keys))
-    except TypeError:
-        return None
+    keys = sorted(value)
+    # escaped text is ASCII with every control character spelled out, so NUL can split it
+    text = (": \0,\n" + inner).join(map(_escape, keys))
     return keys, ("{\n" + inner + text + ": ").split("\0"), texts.setdefault(inner, {})
 
 
@@ -485,14 +482,10 @@ def _render_dict(value: dict, pad: str, out: list[str], texts: dict[str, dict], 
             out.append(int.__repr__(item))
         elif kind is list and item and type(item[0]) is str:
             memo_key = tuple(item)
-            try:
-                text = memo.get(memo_key)
-                if text is None:
-                    text = memo[memo_key] = _string_list(item, inner)
-            except TypeError:  # an unhashable item, or one the escaper rejects
-                _render(item, inner, out, texts)
-            else:
-                out.append(text)
+            text = memo.get(memo_key)
+            if text is None:
+                text = memo[memo_key] = _string_list(item, inner)
+            out.append(text)
         else:
             _render(item, inner, out, texts)
     out.append("\n" + pad + "}")
@@ -518,29 +511,18 @@ def _render_run(run: list | tuple, pad: str, texts: dict[str, dict], plan: tuple
             for i, item in enumerate(column):
                 if type(item) is list and item and type(item[0]) is str:
                     memo_key = tuple(item)
-                    try:
-                        text = memo.get(memo_key)
-                        if text is None:
-                            text = memo[memo_key] = _string_list(item, inner)
-                    except TypeError:  # an unhashable item, or one the escaper rejects
-                        pass
-                    else:
-                        column[i] = text
-                        continue
-                chunks: list[str] = []
-                _render(item, inner, chunks, texts)
-                column[i] = "".join(chunks)
+                    text = memo.get(memo_key)
+                    if text is None:
+                        text = memo[memo_key] = _string_list(item, inner)
+                    column[i] = text
+                else:
+                    chunks: list[str] = []
+                    _render(item, inner, chunks, texts)
+                    column[i] = "".join(chunks)
         parts += repeat(head), column
     close = "\n" + pad + "}"
     parts.append(chain(repeat(close + ",\n" + pad, len(run) - 1), (close,)))
     return "".join(chain.from_iterable(zip(*parts)))
-
-
-def _dumps_whole(value: dict, pad: str) -> str:
-    """``json.dumps``'s ``indent=2`` text of a dict on a line indented by
-    ``pad``: it escapes every newline inside a string, so each newline in
-    its text is structure and takes the indentation."""
-    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + pad)
 
 
 def _render(value: Any, pad: str, out: list[str], texts: dict[str, dict]) -> None:
@@ -558,11 +540,12 @@ def _render(value: Any, pad: str, out: list[str], texts: dict[str, dict]) -> Non
     key at a time by :func:`_render_run`; a dict alone in its run takes
     :func:`_render_dict`.  A ``dict`` subclass renders as the plain dict of
     its items, which is what ``json.dumps`` reads, and never joins a run.
-    A dict with a key that is no ``str`` has no plan, and ``json.dumps``
-    writes it whole, as it writes each dict of such a run.  Later dicts
-    match a plan's keys by ``==``, so only an object that is no ``str`` yet
-    hashes and compares equal to one (which ``json.dumps`` rejects as a
-    key) would be written as that string.
+    Later dicts match a plan's keys by ``==``, so only an object that is no
+    ``str`` yet hashes and compares equal to one (which ``json.dumps``
+    rejects as a key) would be written as that string.  A shape this walk
+    does not take (a key that is no ``str``, a string list with another
+    item or an unhashable one, a leaf ``json.dumps`` rejects) raises
+    ``TypeError``, and :func:`dumps_canonical` hands the payload over.
     """
     if isinstance(value, dict):
         if not value:
@@ -570,21 +553,14 @@ def _render(value: Any, pad: str, out: list[str], texts: dict[str, dict]) -> Non
             return
         if type(value) is not dict:
             value = dict(value.items())
-        plan = _key_plan(value, pad + "  ", texts)
-        if plan is None:
-            out.append(_dumps_whole(value, pad))
-        else:
-            _render_dict(value, pad, out, texts, plan)
+        _render_dict(value, pad, out, texts, _key_plan(value, pad + "  ", texts))
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
             return
         if type(value[0]) is str:
-            try:  # the escaper rejects a non-string item, and the loop below takes over
-                out.append(_string_list(value, pad))
-                return
-            except TypeError:
-                pass
+            out.append(_string_list(value, pad))
+            return
         inner = pad + "  "
         lead, sep = "[\n" + inner, ",\n" + inner
         start, end = 0, len(value)
@@ -600,19 +576,10 @@ def _render(value: Any, pad: str, out: list[str], texts: dict[str, dict]) -> Non
                 while stop < end and type(value[stop]) is dict and value[stop].keys() == keys:
                     stop += 1
                 plan = _key_plan(item, inner + "  ", texts)
-                if plan is None:
-                    out.append(sep.join(_dumps_whole(record, inner) for record in value[start:stop]))
-                elif stop - start == 1:
+                if stop - start == 1:
                     _render_dict(item, inner, out, texts, plan)
                 else:
-                    run = value[start:stop]
-                    try:
-                        out.append(_render_run(run, inner, texts, plan))
-                    except TypeError:
-                        # json.dumps rejects the first bad value in record order, not column order
-                        for record in run:
-                            _render_dict(record, inner, [], texts, plan)
-                        raise
+                    out.append(_render_run(value[start:stop], inner, texts, plan))
             start = stop
         out.append("\n" + pad + "]")
     else:
@@ -628,12 +595,15 @@ def dumps_canonical(payload: dict) -> str:
     its text from ``json.dumps``.  A run of same-keyed records in a list is
     written one key at a time, each all-``int`` or all-``str`` column in
     one ``map``.  CPython's C encoder serves only ``indent=None``, so this
-    walks the payload here rather than in the pure-Python encoder, which
-    writes only a dict with a key that is no ``str``; a value
-    ``json.dumps`` rejects raises the same ``TypeError``, naming the first
-    such value in ``json.dumps``'s order.
+    walks the payload here rather than in the pure-Python encoder.  A
+    payload the walk does not take, which no command emits, raises
+    ``TypeError`` in it; the partial text is dropped and ``json.dumps``
+    writes the payload whole, or raises its own ``TypeError``.
     """
     out: list[str] = []
-    _render(payload, "", out, {})
+    try:
+        _render(payload, "", out, {})
+    except TypeError:
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
     out.append("\n")
     return "".join(out)

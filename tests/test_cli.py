@@ -1072,6 +1072,21 @@ def test_each_command_parses_each_distinct_entry_once(tmp_path, capsys, monkeypa
         assert sorted(calls) == (explicit_entries(argv) or []), argv
 
 
+def test_no_command_hands_its_payload_to_the_python_encoder(tmp_path, capsys, monkeypatch):
+    # dumps_canonical hands a payload it cannot walk to json.dumps, whose indent=2 encoder is pure Python
+    runs = seed_runs(tmp_path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pure-Python json encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    statuses = []
+    for argv in runs:
+        statuses.append(main(argv))
+        assert capsys.readouterr().out, argv
+    assert set(statuses) == {0, 1}  # results, and diagnostics of engines that fail on a valid document
+
+
 def rebuilding_cores(monkeypatch) -> list:
     """Make every document that validation or generation returns with a
     table run on a core the builders for plain dicts make from its keys,

@@ -224,6 +224,9 @@ json_trees = st.recursive(
 @example({"p": ["a", "b"], "q": {"r": ["a", "b"], "s": [{"t": ["a", "b"]}]}, "u": ("a", "b")})
 @example({"a": None, "b": [None, True, 0, 2**70], "c": {"d": False}, "e": True})
 @example([None, False, -1, None])
+# the walk has written text before it meets a shape it hands over to json.dumps
+@example({"a": [{"k": 1}, {"k": 2}], "b": ["x", "y"], "z": {1: 2}})
+@example({"input": {"sets": [["a"]]}, "outputs": ["a", 1.5]})
 def test_dumps_canonical_writes_the_bytes_of_json_dumps(value):
     assert dumps_canonical(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
 
@@ -273,6 +276,8 @@ record_trees = st.recursive(
 @example([{"k": 1}, {"k": Fraction(1, 2)}, {"k": 3}])
 # json.dumps names the first value it rejects in record order, here the Fraction, not the set
 @example([{"a": 1, "b": Fraction(1, 2)}, {"a": {1}, "b": 2}])
+# a run's string-list column writes two records' texts, then meets a list the escaper rejects
+@example([{"k": ["1/2"]}, {"k": ["1/2"]}, {"k": ["1/2", 1]}])
 def test_dumps_canonical_writes_runs_of_records_as_json_dumps_does(value):
     try:
         expected = json.dumps(value, sort_keys=True, indent=2) + "\n"
@@ -328,7 +333,7 @@ def test_a_trace_plans_its_stages_once_per_run(monkeypatch):
 
 
 def test_a_long_run_of_records_without_a_plan_is_written_in_one_pass():
-    # every record has the key set {1}, which has no key plan; the run is still found once, not per record
+    # every record has the key set {1}, which has no key plan: the walk hands the list to json.dumps at its first record
     value = [{1: i} for i in range(20000)]
     started = time.perf_counter()
     text = dumps_canonical(value)
