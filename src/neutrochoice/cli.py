@@ -10,6 +10,7 @@ errors surface as structured diagnostics with a nonzero exit status
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from . import documents as docs
@@ -224,18 +225,27 @@ def _emit(payload: dict, output_path: str | None) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _PARSER.parse_args(argv)
+    # An op leaves no reference cycles: reference counting frees all it allocates, so every
+    # collection during an op would rescan the document and free nothing.  The caller's
+    # collector state comes back on every way out, an escaping exception included.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        payload, status = _dispatch(args), 0
-    except NeutroChoiceError as exc:
-        payload = _diagnostic(args.command, exc)
-        status = 2 if isinstance(exc, (ParseError, SchemaError)) else 1
-    try:
-        _emit(payload, args.output)
-    except SchemaError as exc:  # the output file cannot be written: report on stdout
-        _emit(_diagnostic(args.command, exc), None)
-        return 2
-    return status
+        args = _PARSER.parse_args(argv)
+        try:
+            payload, status = _dispatch(args), 0
+        except NeutroChoiceError as exc:
+            payload = _diagnostic(args.command, exc)
+            status = 2 if isinstance(exc, (ParseError, SchemaError)) else 1
+        try:
+            _emit(payload, args.output)
+        except SchemaError as exc:  # the output file cannot be written: report on stdout
+            _emit(_diagnostic(args.command, exc), None)
+            return 2
+        return status
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -46,12 +46,32 @@ class ZornFamily:
     @cached_property
     def fans(self) -> tuple[tuple[int, ...], ...]:
         """``fans[i]``: ascending indices of member ``i``'s strict supersets,
-        built on first read; not a field, so ``==``, hash and repr ignore it."""
+        built on first read; not a field, so ``==``, hash and repr ignore it.
+
+        Each element maps to a mask with one bit per member that holds it, and
+        a base's fan is the AND of its elements' masks less its own bit (every
+        member for the empty base): members are distinct as sets, so each other
+        member holding all of the base's elements is a strict superset."""
         members = self.members
-        return tuple([
-            tuple([index for index, other in enumerate(members) if base < other])
-            for base in members
-        ])
+        holders: dict = {}
+        for index, member in enumerate(members):
+            bit = 1 << index
+            for element in member:
+                holders[element] = holders.get(element, 0) | bit
+        everyone = (1 << len(members)) - 1
+        table = []
+        for index, base in enumerate(members):
+            mask = everyone
+            for element in base:
+                mask &= holders[element]
+            mask ^= 1 << index  # the base holds its own elements, so its bit is set
+            fan = []
+            while mask:  # lowest set bit first: ascending member index
+                low = mask & -mask
+                fan.append(low.bit_length() - 1)
+                mask ^= low
+            table.append(tuple(fan))
+        return tuple(table)
 
 
 @dataclass(frozen=True)

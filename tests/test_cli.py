@@ -5,6 +5,7 @@ import ast
 import contextlib
 import copy
 import functools
+import gc
 import importlib.util
 import io
 import itertools
@@ -1368,3 +1369,99 @@ def test_earlier_calls_leave_no_trace_in_a_later_run(tmp_path, capsys):
     capsys.readouterr()
     assert main(["partition", path]) == 0
     assert capsys.readouterr().out == first
+
+
+@contextlib.contextmanager
+def collector(enabled: bool):
+    """Run the body with the cyclic collector on or off, then put back the state it found."""
+    found = gc.isenabled()
+    gc.enable() if enabled else gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable() if found else gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collecting", "disabled"])
+@pytest.mark.parametrize(
+    "argv, outcome",
+    [
+        (["partition", "family.json"], 0),
+        (["allocate", "starved.json"], 1),
+        (["classify", "absent.json"], 2),
+        (["partition", "family.json", "--output", "."], 2),  # a directory cannot be written
+        (["--help"], SystemExit),
+        (["classify"], SystemExit),  # the document argument is missing
+        (["find-path", "chain.json"], RecursionError),  # see the strict xfail above
+    ],
+    ids=["exit-0", "exit-1", "exit-2", "unwritable-output", "help", "missing-argument", "recursion-error"],
+)
+def test_main_gives_back_the_callers_collector_state_on_every_way_out(
+    tmp_path, capsys, monkeypatch, argv, outcome, enabled
+):
+    documents_by_name = {"family.json": PAPER_FAMILY, "starved.json": STARVED_FAMILY, "chain.json": DEEP_CHAIN}
+    if len(argv) > 1 and argv[1] in documents_by_name:
+        write_doc(tmp_path, argv[1], documents_by_name[argv[1]])
+    monkeypatch.chdir(tmp_path)
+    with collector(enabled):
+        if isinstance(outcome, int):
+            assert main(argv) == outcome
+        else:
+            with pytest.raises(outcome):
+                main(argv)
+        assert gc.isenabled() is enabled
+
+
+def test_no_collection_runs_during_an_op(tmp_path, capsys):
+    sets = [[f"s{i}e{j}" for j in range(2 + i % 9)] for i in range(2000)]
+    path = write_doc(tmp_path, "family.json", {"kind": "family", "sets": sets, "rng": RNG})
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        with collector(True):
+            gc.collect()
+            starts.clear()
+            code = main(["allocate", path])
+            during = len(starts)  # read at once: the restored collector may run on the next allocation
+    finally:
+        gc.callbacks.remove(count)
+    assert code in (0, 1) and json.loads(capsys.readouterr().out)["command"] == "allocate"
+    assert during == 0, starts
+
+
+def test_no_op_leaves_cyclic_garbage(tmp_path, capsys):
+    # the pause in main is safe only while reference counting frees everything an op allocates
+    family = write_doc(tmp_path, "family.json", PAPER_FAMILY)
+    unparsable = tmp_path / "unparsable.json"
+    unparsable.write_text('{"kind": ')
+    deep_array = tmp_path / "deep.json"
+    deep_array.write_bytes(b"[" * 100_000 + b"]" * 100_000)
+    tie = {"kind": "family", "sets": [["a"]], "assignment": [{"a": ["4/10", "4/10", "2/10"]}]}
+    exhausted = {"kind": "zorn", "members": singletons_and_pairs(3), "rng": {"seed": 1, "denominator_bound": 10}}
+    chain = write_doc(tmp_path, "chain.json", DEEP_CHAIN)
+    runs = seed_runs(tmp_path) + [
+        (["classify", write_doc(tmp_path, "tie.json", tie)], 2),
+        (["classify", str(unparsable)], 2),
+        (["classify", str(tmp_path / "absent.json")], 2),
+        (["classify", str(deep_array)], 2),
+        (["find-maximal", write_doc(tmp_path, "exhausted.json", exhausted)], 1),
+        (["find-path", family], 2),
+        (["find-path", chain], RecursionError),
+        (["classify", chain], 0),
+    ]
+    with collector(False):
+        for run_ in runs:
+            argv, outcome = run_ if isinstance(run_, tuple) else (run_, None)
+            gc.collect()
+            try:
+                status = main(argv)
+            except RecursionError:
+                status = RecursionError
+            assert gc.collect() == 0, argv
+            assert outcome is None or status == outcome, argv
+            capsys.readouterr()

@@ -421,6 +421,13 @@ FAMILIES = st.lists(st.frozensets(st.sampled_from("abcde")), unique=True, max_si
 @example(ZornFamily(members=(frozenset(),)))
 @example(ZornFamily(members=(frozenset("a"),)))
 @example(ZornFamily(members=(frozenset("ab"), frozenset(), frozenset("a"), frozenset("b"))))
+# 79 members: the pairs and singletons of 12 atoms, then the empty set, so fans run past one machine word
+@example(ZornFamily(members=(
+    *(frozenset({i, j}) for i in range(12) for j in range(i + 1, 12)),
+    *(frozenset({i}) for i in range(12)),
+    frozenset(),
+)))
+@example(ZornFamily(members=tuple(frozenset("abcdefgh"[:size]) for size in (3, 0, 8, 5, 1, 7))))  # a nested chain
 def test_fans_table_matches_the_reference(family):
     expected = reference_fans(family)
     twin = ZornFamily(members=family.members)
