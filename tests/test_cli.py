@@ -1430,7 +1430,7 @@ def test_no_collection_runs_during_an_op(tmp_path, capsys):
             during = len(starts)  # read at once: the restored collector may run on the next allocation
     finally:
         gc.callbacks.remove(count)
-    assert code in (0, 1) and json.loads(capsys.readouterr().out)["command"] == "allocate"
+    assert code == 0 and json.loads(capsys.readouterr().out)["command"] == "allocate"
     assert during == 0, starts
 
 
@@ -1444,7 +1444,7 @@ def test_no_op_leaves_cyclic_garbage(tmp_path, capsys):
     tie = {"kind": "family", "sets": [["a"]], "assignment": [{"a": ["4/10", "4/10", "2/10"]}]}
     exhausted = {"kind": "zorn", "members": singletons_and_pairs(3), "rng": {"seed": 1, "denominator_bound": 10}}
     chain = write_doc(tmp_path, "chain.json", DEEP_CHAIN)
-    runs = seed_runs(tmp_path) + [
+    runs = [(argv, None) for argv in seed_runs(tmp_path)] + [
         (["classify", write_doc(tmp_path, "tie.json", tie)], 2),
         (["classify", str(unparsable)], 2),
         (["classify", str(tmp_path / "absent.json")], 2),
@@ -1455,8 +1455,7 @@ def test_no_op_leaves_cyclic_garbage(tmp_path, capsys):
         (["classify", chain], 0),
     ]
     with collector(False):
-        for run_ in runs:
-            argv, outcome = run_ if isinstance(run_, tuple) else (run_, None)
+        for argv, outcome in runs:
             gc.collect()
             try:
                 status = main(argv)
